@@ -8,7 +8,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
 use vqmc_nn::{made_hidden_size, rbm_hidden_size, Made, Rbm};
-use vqmc_sampler::{AutoSampler, MadeBatchSampler, McmcSampler, PanelLayout, Sampler};
+use vqmc_sampler::{AutoSampler, MadeBatchSampler, McmcSampler, Sampler};
 use vqmc_tensor::{SpinBatch, Vector};
 
 const BATCH: usize = 64;
@@ -40,13 +40,9 @@ fn bench_mcmc(c: &mut Criterion) {
     group.finish();
 }
 
-/// The training hot path after the sampling unification: one
-/// `MadeBatchSampler::sample_stream` call (exactly what
-/// `IncrementalAutoSampler` — and hence `Trainer::step` — executes).
-/// `rows` is the "before" layout (the pre-unification per-row training
-/// path); `cols` is the fused transposed-panel kernel that the
-/// unification promoted from `vqmc-serve` onto training; `auto` is the
-/// production threshold dispatch (≡ cols at these batch sizes).
+/// The training hot path: one `MadeBatchSampler::sample_stream` call
+/// (exactly what `IncrementalAutoSampler` — and hence `Trainer::step` —
+/// executes) through the fused transposed-panel pipeline.
 fn bench_training_path(c: &mut Criterion) {
     let mut group = c.benchmark_group("sampling");
     group.sample_size(10);
@@ -54,39 +50,22 @@ fn bench_training_path(c: &mut Criterion) {
     // measurement within the stub's time budget.
     for &(n, batch) in &[(1024usize, 256usize), (16384, 32)] {
         let wf = Made::new(n, made_hidden_size(n), 1);
-        for (label, layout) in [
-            ("rows", PanelLayout::Rows),
-            ("cols", PanelLayout::Cols),
-            ("auto", PanelLayout::Auto),
-        ] {
-            group.bench_with_input(
-                BenchmarkId::new(label, n),
-                &wf,
-                |b, wf| {
-                    let mut sampler = MadeBatchSampler::new();
-                    sampler.force_layout(layout);
-                    let mut rng = StdRng::seed_from_u64(7);
-                    let mut out_batch = SpinBatch::default();
-                    let mut out_log_psi = Vector::default();
-                    b.iter(|| {
-                        sampler.sample_stream(
-                            wf,
-                            batch,
-                            &mut rng,
-                            &mut out_batch,
-                            &mut out_log_psi,
-                        );
-                        black_box(out_log_psi.as_slice()[0])
-                    })
-                },
-            );
-        }
+        group.bench_with_input(BenchmarkId::from_parameter(n), &wf, |b, wf| {
+            let mut sampler = MadeBatchSampler::new();
+            let mut rng = StdRng::seed_from_u64(7);
+            let mut out_batch = SpinBatch::default();
+            let mut out_log_psi = Vector::default();
+            b.iter(|| {
+                sampler.sample_stream(wf, batch, &mut rng, &mut out_batch, &mut out_log_psi);
+                black_box(out_log_psi.as_slice()[0])
+            })
+        });
     }
     group.finish();
 }
 
 /// Pool-width sweep on the acceptance sampling shape (16 384 samples):
-/// the cols panel path stripes the batch across workers.  On this
+/// the panel pipeline stripes the batch across workers.  On this
 /// container `nproc` = 1, so t2/t4 time-slice one core and the medians
 /// document dispatch overhead, not speedup — rerun on a multi-core host
 /// for the scaling columns (output is bit-identical either way, so the
@@ -101,7 +80,6 @@ fn bench_sampling_threads(c: &mut Criterion) {
         group.bench_function(format!("cols_b16384/t{threads}"), |b| {
             vqmc_tensor::par::with_threads(threads, || {
                 let mut sampler = MadeBatchSampler::new();
-                sampler.force_layout(PanelLayout::Cols);
                 let mut rng = StdRng::seed_from_u64(7);
                 let mut out_batch = SpinBatch::default();
                 let mut out_log_psi = Vector::default();

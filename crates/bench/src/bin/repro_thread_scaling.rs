@@ -27,7 +27,7 @@ use vqmc_hamiltonian::{
     local_energies_into, LocalEnergyConfig, LocalEnergyScratch, TransverseFieldIsing,
 };
 use vqmc_nn::{made_hidden_size, Made, WaveFunction};
-use vqmc_sampler::{MadeBatchSampler, PanelLayout};
+use vqmc_sampler::MadeBatchSampler;
 use vqmc_tensor::{gemm, par, Matrix, SpinBatch, Vector};
 
 fn main() {
@@ -69,7 +69,6 @@ fn main() {
     for &t in &widths {
         let (st, bits) = par::with_threads(t, || {
             let mut sampler = MadeBatchSampler::new();
-            sampler.force_layout(PanelLayout::Cols);
             let mut out = SpinBatch::default();
             let mut lp = Vector::default();
             let mut best = f64::INFINITY;
@@ -137,7 +136,6 @@ fn main() {
         let rows = 4_096 * t;
         let wt = par::with_threads(t, || {
             let mut sampler = MadeBatchSampler::new();
-            sampler.force_layout(PanelLayout::Cols);
             let mut out = SpinBatch::default();
             let mut lp = Vector::default();
             let mut best = f64::INFINITY;

@@ -238,6 +238,44 @@ mod alloc_test {
         assert_steady_state_alloc_free(t, &h, "depth-2 AUTO-incremental + Adam");
     }
 
+    /// The serving shape: a warm coalesced [`BatchSampler`] performs
+    /// **zero** heap allocations, at depths 1 and 2, in both
+    /// precisions, for combined batches below and above the pool
+    /// striping minimum.
+    ///
+    /// [`BatchSampler`]: vqmc_sampler::BatchSampler
+    #[test]
+    fn warm_coalesced_sampler_is_allocation_free() {
+        use vqmc_sampler::{BatchSampler, SampleRequest};
+        use vqmc_tensor::{Precision, SpinBatch, Vector};
+        for hidden in [&[12usize][..], &[12, 8]] {
+            let wf = Made::with_hidden(6, hidden, 7);
+            for precision in [Precision::F64, Precision::F32] {
+                for (c0, c1) in [(3usize, 5usize), (40, 5)] {
+                    let reqs = [
+                        SampleRequest { count: c0, seed: 1 },
+                        SampleRequest { count: c1, seed: 2 },
+                    ];
+                    let mut sampler = BatchSampler::new();
+                    sampler.set_precision(precision);
+                    let mut batch = SpinBatch::default();
+                    let mut log_psi = Vector::default();
+                    sampler.sample_requests(&wf, &reqs, &mut batch, &mut log_psi);
+                    let before = current_thread_allocs();
+                    for _ in 0..4 {
+                        sampler.sample_requests(&wf, &reqs, &mut batch, &mut log_psi);
+                    }
+                    let allocs = current_thread_allocs() - before;
+                    assert_eq!(
+                        allocs, 0,
+                        "hidden {hidden:?} {precision:?} requests ({c0}, {c1}): \
+                         {allocs} heap allocations in 4 warm passes"
+                    );
+                }
+            }
+        }
+    }
+
     /// With the worker pool active (4 threads, batch big enough that the
     /// sampler panels and slice kernels actually dispatch to workers),
     /// steady-state `Trainer::step` still performs **zero** heap

@@ -284,6 +284,11 @@ impl Made {
     /// AUTO sampler caches `W₁ᵀ`, the serve engine caches f32 weights)
     /// compare this against their cached value to decide whether to
     /// recompute.
+    ///
+    /// It only orders the versions of **one** instance: every model
+    /// starts at 0 (and a loaded checkpoint at 1), so two different
+    /// models can report the same version.  A cache that may see a
+    /// different model (a hot reload) must be dropped on the swap.
     pub fn params_version(&self) -> u64 {
         self.version
     }

@@ -197,23 +197,32 @@ mod tests {
         Made::new(n, 2 * n + 1, seed)
     }
 
+    /// Pinned against the naive full-recompute sampler at batch sizes
+    /// below, at and above the fused kernel's 8-row register block and
+    /// the pool-striping minimum (tiny batches included).
     #[test]
     fn incremental_is_bit_identical_to_naive() {
-        for seed in 0..5u64 {
-            let m = model(7, 100 + seed);
-            let naive = AutoSampler::new().sample(&m, 16, &mut StdRng::seed_from_u64(seed));
-            let fast =
-                IncrementalAutoSampler::new().sample(&m, 16, &mut StdRng::seed_from_u64(seed));
-            assert_eq!(
-                naive.batch.as_bytes(),
-                fast.batch.as_bytes(),
-                "seed {seed}: sample batches differ"
-            );
-            for s in 0..16 {
-                assert!(
-                    (naive.log_psi[s] - fast.log_psi[s]).abs() < 1e-10,
-                    "seed {seed} sample {s}: logψ differs"
+        for count in [1usize, 3, 7, 8, 16, 33] {
+            for seed in 0..5u64 {
+                let m = model(7, 100 + seed);
+                let naive =
+                    AutoSampler::new().sample(&m, count, &mut StdRng::seed_from_u64(seed));
+                let fast = IncrementalAutoSampler::new().sample(
+                    &m,
+                    count,
+                    &mut StdRng::seed_from_u64(seed),
                 );
+                assert_eq!(
+                    naive.batch.as_bytes(),
+                    fast.batch.as_bytes(),
+                    "count {count} seed {seed}: sample batches differ"
+                );
+                for s in 0..count {
+                    assert!(
+                        (naive.log_psi[s] - fast.log_psi[s]).abs() < 1e-10,
+                        "count {count} seed {seed} sample {s}: logψ differs"
+                    );
+                }
             }
         }
     }

@@ -34,9 +34,7 @@ use vqmc_nn::WaveFunction;
 use vqmc_tensor::{SpinBatch, Vector};
 
 pub use auto::{AutoSampler, IncrementalAutoSampler, NadeNativeSampler};
-pub use batch::{
-    BatchSampler, MadeBatchSampler, NadeBatchSampler, PanelLayout, SampleRequest,
-};
+pub use batch::{BatchSampler, MadeBatchSampler, NadeBatchSampler, SampleRequest};
 pub use gibbs::{GibbsConfig, GibbsSampler};
 pub use mcmc::{BurnIn, McmcConfig, McmcSampler, RbmFastMcmc, Thinning};
 pub use tempering::{TemperingConfig, TemperingSampler};

@@ -1,7 +1,7 @@
 //! Property tests for the unified batched sampling layer: coalesced
 //! multi-request passes must be **bit-identical** — configurations and
 //! `logψ` — to solo per-request sampling, and the MADE panel sampler's
-//! two layouts must agree bit-for-bit.
+//! output must not depend on the pool width.
 //!
 //! The verify skill runs this suite on both SIMD dispatch arms
 //! (default and `VQMC_SIMD=off` / `--features vqmc/force-scalar`), so
@@ -11,14 +11,12 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use vqmc_nn::{Made, Nade};
-use vqmc_sampler::{
-    BatchSampler, MadeBatchSampler, NadeBatchSampler, PanelLayout, SampleRequest,
-};
-use vqmc_tensor::{par, SpinBatch, Vector};
+use vqmc_sampler::{BatchSampler, MadeBatchSampler, NadeBatchSampler, SampleRequest};
+use vqmc_tensor::{par, Precision, SpinBatch, Vector};
 
 /// Request sizes derived from a seed (the vendored proptest stub has no
 /// collection strategies). Sizes span 1..=11 so the coalesced row count
-/// crosses the cols-path threshold in some cases and not in others.
+/// crosses the pool-striping minimum in some cases and not in others.
 fn request_list(nreq: usize, seed0: u64) -> Vec<SampleRequest> {
     (0..nreq)
         .map(|r| SampleRequest {
@@ -126,39 +124,7 @@ proptest! {
         }
     }
 
-    /// MADE: the row-major and transposed fused-kernel panel layouts
-    /// produce bit-identical output on random shapes — so the `Auto`
-    /// threshold dispatch is observationally invisible.
-    #[test]
-    fn made_forced_layouts_agree_on_random_shapes(
-        n in 3usize..14,
-        h in 2usize..18,
-        model_seed in 0u64..500,
-        nreq in 1usize..4,
-        seed0 in 0u64..10_000,
-    ) {
-        let wf = Made::new(n, h, model_seed);
-        let reqs = request_list(nreq, seed0);
-
-        let mut row_b = SpinBatch::default();
-        let mut row_lp = Vector::default();
-        let mut sampler = MadeBatchSampler::new();
-        sampler.force_layout(PanelLayout::Rows);
-        sampler.sample_coalesced(&wf, &reqs, &mut row_b, &mut row_lp);
-
-        let mut col_b = SpinBatch::default();
-        let mut col_lp = Vector::default();
-        let mut sampler = MadeBatchSampler::new();
-        sampler.force_layout(PanelLayout::Cols);
-        sampler.sample_coalesced(&wf, &reqs, &mut col_b, &mut col_lp);
-
-        prop_assert_eq!(row_b.as_bytes(), col_b.as_bytes());
-        for s in 0..row_lp.len() {
-            prop_assert_eq!(row_lp[s].to_bits(), col_lp[s].to_bits());
-        }
-    }
-
-    /// MADE cols path (the pool-parallel arm): configurations and `logψ`
+    /// MADE panel pipeline, both precisions: configurations and `logψ`
     /// are **bit-identical at every thread count** — the per-worker
     /// panel stripes and the pre-drawn variates must be observationally
     /// invisible.
@@ -171,28 +137,36 @@ proptest! {
         seed in 0u64..10_000,
     ) {
         let wf = Made::new(n, h, model_seed);
-        let run = |threads: usize| {
-            par::with_threads(threads, || {
-                let mut sampler = MadeBatchSampler::new();
-                sampler.force_layout(PanelLayout::Cols);
-                let mut b = SpinBatch::default();
-                let mut lp = Vector::default();
-                sampler.sample_stream(
-                    &wf,
-                    count,
-                    &mut StdRng::seed_from_u64(seed),
-                    &mut b,
-                    &mut lp,
+        for precision in [Precision::F64, Precision::F32] {
+            let run = |threads: usize| {
+                par::with_threads(threads, || {
+                    let mut sampler = MadeBatchSampler::new();
+                    sampler.set_precision(precision);
+                    let mut b = SpinBatch::default();
+                    let mut lp = Vector::default();
+                    sampler.sample_stream(
+                        &wf,
+                        count,
+                        &mut StdRng::seed_from_u64(seed),
+                        &mut b,
+                        &mut lp,
+                    );
+                    (b, lp)
+                })
+            };
+            let seq = run(1);
+            for threads in [2usize, 4, 8] {
+                let par_out = run(threads);
+                prop_assert_eq!(
+                    par_out.0.as_bytes(),
+                    seq.0.as_bytes(),
+                    "{:?} bits at {} threads",
+                    precision,
+                    threads
                 );
-                (b, lp)
-            })
-        };
-        let seq = run(1);
-        for threads in [2usize, 4, 8] {
-            let par_out = run(threads);
-            prop_assert_eq!(par_out.0.as_bytes(), seq.0.as_bytes(), "bits at {} threads", threads);
-            for s in 0..count {
-                prop_assert_eq!(par_out.1[s].to_bits(), seq.1[s].to_bits());
+                for s in 0..count {
+                    prop_assert_eq!(par_out.1[s].to_bits(), seq.1[s].to_bits());
+                }
             }
         }
     }
@@ -237,7 +211,7 @@ proptest! {
     }
 
     /// Deep MADE stacks: configurations and `logψ` are bit-identical
-    /// at every thread count, like the depth-1 cols path.
+    /// at every thread count in both precisions, like depth 1.
     #[test]
     fn deep_made_sampling_bit_identical_across_thread_counts(
         n in 3usize..12,
@@ -248,34 +222,43 @@ proptest! {
         seed in 0u64..10_000,
     ) {
         let wf = Made::with_hidden(n, &[h1, h2], model_seed);
-        let run = |threads: usize| {
-            par::with_threads(threads, || {
-                let mut sampler = MadeBatchSampler::new();
-                let mut b = SpinBatch::default();
-                let mut lp = Vector::default();
-                sampler.sample_stream(
-                    &wf,
-                    count,
-                    &mut StdRng::seed_from_u64(seed),
-                    &mut b,
-                    &mut lp,
+        for precision in [Precision::F64, Precision::F32] {
+            let run = |threads: usize| {
+                par::with_threads(threads, || {
+                    let mut sampler = MadeBatchSampler::new();
+                    sampler.set_precision(precision);
+                    let mut b = SpinBatch::default();
+                    let mut lp = Vector::default();
+                    sampler.sample_stream(
+                        &wf,
+                        count,
+                        &mut StdRng::seed_from_u64(seed),
+                        &mut b,
+                        &mut lp,
+                    );
+                    (b, lp)
+                })
+            };
+            let seq = run(1);
+            for threads in [2usize, 4, 8] {
+                let par_out = run(threads);
+                prop_assert_eq!(
+                    par_out.0.as_bytes(),
+                    seq.0.as_bytes(),
+                    "{:?} bits at {} threads",
+                    precision,
+                    threads
                 );
-                (b, lp)
-            })
-        };
-        let seq = run(1);
-        for threads in [2usize, 4, 8] {
-            let par_out = run(threads);
-            prop_assert_eq!(par_out.0.as_bytes(), seq.0.as_bytes(), "bits at {} threads", threads);
-            for s in 0..count {
-                prop_assert_eq!(par_out.1[s].to_bits(), seq.1[s].to_bits());
+                for s in 0..count {
+                    prop_assert_eq!(par_out.1[s].to_bits(), seq.1[s].to_bits());
+                }
             }
         }
     }
 }
 
 /// The acceptance training shape (rows = 16384): one deterministic pass
-/// through the cols path at 1/2/4/8 threads must agree bit-for-bit.
+/// through the panel pipeline at 1/2/4/8 threads must agree bit-for-bit.
 /// Moderate hidden size keeps the debug-mode runtime reasonable; the
 /// stripe arithmetic being exercised is identical at any `h`.
 #[test]
@@ -286,7 +269,6 @@ fn training_shape_sampling_bit_identical_across_thread_counts() {
     let run = |threads: usize| {
         par::with_threads(threads, || {
             let mut sampler = MadeBatchSampler::new();
-            sampler.force_layout(PanelLayout::Cols);
             let mut b = SpinBatch::default();
             let mut lp = Vector::default();
             sampler.sample_stream(

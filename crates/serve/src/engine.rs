@@ -160,15 +160,17 @@ impl Engine {
         &self.model
     }
 
-    /// Re-reads the shared slot at a batch boundary.  On a swap the
-    /// cached f32 forward weights are invalidated — they were derived
-    /// from the old model's parameters.
+    /// Re-reads the shared slot at a batch boundary.  On a swap every
+    /// weight cache — the f32 forward weights and the sampler's — is
+    /// dropped: it was derived from the old model's parameters, and
+    /// `params_version` cannot tell two models apart.
     fn refresh_model(&mut self) {
         let v = self.slot.version();
         if v != self.model_version {
             self.model = self.slot.get();
             self.model_version = v;
             self.m32_fwd = None;
+            self.sampler.clear_weight_cache();
         }
     }
 

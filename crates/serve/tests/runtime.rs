@@ -11,16 +11,17 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use vqmc_nn::checkpoint::{AnyModel, Checkpoint};
+use vqmc_hamiltonian::LocalEnergyConfig;
+use vqmc_nn::checkpoint::{load_any, AnyModel, Checkpoint};
 use vqmc_nn::Made;
 use vqmc_serve::protocol::{
     encode_request, read_frame, write_frame, decode_response,
 };
 use vqmc_serve::{
-    BatcherConfig, Client, ClientError, ErrorCode, Request, Response, Runtime, ServeConfig,
-    Server,
+    BatcherConfig, Client, ClientError, Engine, ErrorCode, Request, Response, Runtime,
+    SampleRequest, ServeConfig, Server,
 };
-use vqmc_tensor::SpinBatch;
+use vqmc_tensor::{Precision, SpinBatch};
 
 const N: usize = 8;
 const HIDDEN: usize = 12;
@@ -119,6 +120,57 @@ fn hot_reload_swaps_model_mid_load_without_errors() {
     }
 
     assert_eq!(client.stats().unwrap().reloads, 1);
+    client.shutdown().unwrap();
+    server.join();
+}
+
+/// A reload between two checkpoint-loaded models of the same shape puts
+/// `Sample` on the new weights.  Both loaded models report the same
+/// `params_version`, so this pins that the engine drops the sampler's
+/// weight caches on the swap: seeded replies after the reload equal a
+/// fresh engine's on the new model, in both precisions, at a tiny and
+/// a pool-striped request size.
+#[test]
+fn hot_reload_samples_from_the_new_checkpoint() {
+    let a = TempCkpt::new("resample-a");
+    let b = TempCkpt::new("resample-b");
+    Made::new(N, HIDDEN, 5).save(&a.0).unwrap();
+    Made::new(N, HIDDEN, 99).save(&b.0).unwrap();
+    let (model_a, _) = load_any(&a.0).unwrap();
+    let (model_b, _) = load_any(&b.0).unwrap();
+
+    let server = Server::start(model_a, None, ServeConfig::default()).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let cases = [
+        (Precision::F64, 2u32),
+        (Precision::F64, 32),
+        (Precision::F32, 2),
+        (Precision::F32, 32),
+    ];
+    // Warm every sampler cache on the first model.
+    for &(precision, count) in &cases {
+        client.sample_with(count, Some(7), Some(precision)).unwrap();
+    }
+    client.reload(b.path()).expect("reload must succeed");
+
+    let mut fresh = Engine::new(Arc::new(model_b), None, LocalEnergyConfig::default());
+    for &(precision, count) in &cases {
+        let (batch, log_psi) = client.sample_with(count, Some(7), Some(precision)).unwrap();
+        let req = SampleRequest {
+            count: count as usize,
+            seed: 7,
+        };
+        match &fresh.run_samples_with(precision, &[req])[0] {
+            Response::Samples {
+                batch: want_batch,
+                log_psi: want_log_psi,
+            } => {
+                assert_eq!(batch.as_bytes(), want_batch.as_bytes(), "{precision:?} x{count}");
+                assert_eq!(&log_psi, want_log_psi, "{precision:?} x{count}");
+            }
+            other => panic!("unexpected engine reply {other:?}"),
+        }
+    }
     client.shutdown().unwrap();
     server.join();
 }
