@@ -44,11 +44,13 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use vqmc_cluster::{allreduce_mean_tree, Cluster, Topology};
-use vqmc_hamiltonian::{local_energies_into, LocalEnergyConfig, LocalEnergyScratch, SparseRowHamiltonian};
+use vqmc_hamiltonian::{
+    local_energies_flip_into, LocalEnergyConfig, LocalEnergyScratch, SparseRowHamiltonian,
+};
 use vqmc_nn::WaveFunction;
 use vqmc_optim::Optimizer;
 use vqmc_sampler::{SampleOutput, SampleStats, Sampler};
-use vqmc_tensor::{SpinBatch, Vector, Workspace};
+use vqmc_tensor::{Matrix, SpinBatch, Vector, Workspace};
 
 use crate::backend::{Collective, CollectiveError};
 use crate::cost;
@@ -336,8 +338,10 @@ where
     } = st;
     sampler.sample_into(wf, mbs, rng, out);
     let wf_ref: &W = wf;
-    let mut eval = |b: &SpinBatch, dst: &mut Vector| wf_ref.log_psi_into(b, ws, dst);
-    local_energies_into(h, &out.batch, &out.log_psi, &mut eval, le_cfg, le, local);
+    let mut eval = |b: &SpinBatch, flips: &[usize], dst: &mut Matrix| {
+        wf_ref.flip_log_psi_into(b, flips, ws, dst)
+    };
+    local_energies_flip_into(h, &out.batch, &out.log_psi, &mut eval, le_cfg, le, local);
     let sum: f64 = local.sum();
     let sum_sq: f64 = local.iter().map(|l| l * l).sum();
     let min = local.min();

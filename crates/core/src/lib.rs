@@ -329,6 +329,46 @@ mod alloc_test {
             );
         });
     }
+
+    /// The same process-wide check at a shape where MADE's flip-local
+    /// local energy dispatches to the pool too: its per-flip GEMMs clear
+    /// the FLOP gate and its row stripes the element gate (n=64, 640
+    /// samples), at depths 1 and 2.
+    #[test]
+    fn pool_active_flip_local_energy_is_allocation_free() {
+        use crate::alloc_counter::global_allocs;
+        let n = 64;
+        let h = TransverseFieldIsing::random(n, 5);
+        for hidden in [&[64usize][..], &[64, 48]] {
+            let mut t = Trainer::new(
+                Made::with_hidden(n, hidden, 9),
+                IncrementalAutoSampler::new(),
+                TrainerConfig {
+                    iterations: 4,
+                    batch_size: 640,
+                    optimizer: OptimizerChoice::paper_default(),
+                    local_energy: LocalEnergyConfig::default(),
+                    seed: 13,
+                },
+            );
+            vqmc_tensor::par::with_threads(4, || {
+                let mut opt = t.make_optimizer();
+                for _ in 0..2 {
+                    t.step(&h, opt.as_mut());
+                }
+                let mut best = u64::MAX;
+                for _ in 0..4 {
+                    let before = global_allocs();
+                    t.step(&h, opt.as_mut());
+                    best = best.min(global_allocs() - before);
+                    if best == 0 {
+                        break;
+                    }
+                }
+                assert_eq!(best, 0, "hidden {hidden:?}: best round made {best} heap allocations");
+            });
+        }
+    }
 }
 
 #[cfg(test)]

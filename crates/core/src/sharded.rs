@@ -35,7 +35,7 @@ use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use vqmc_hamiltonian::{local_energies_into, LocalEnergyScratch, SparseRowHamiltonian};
+use vqmc_hamiltonian::{local_energies_flip_into, LocalEnergyScratch, SparseRowHamiltonian};
 use vqmc_nn::WaveFunction;
 use vqmc_optim::{Optimizer, SrScratch, StochasticReconfiguration};
 use vqmc_sampler::{SampleOutput, Sampler};
@@ -172,14 +172,16 @@ where
 
         // 2. Sharded measurement.
         let wf = &self.wf;
-        let mut eval = |b: &SpinBatch, out: &mut Vector| wf.log_psi_into(b, ws, out);
+        let mut eval = |b: &SpinBatch, flips: &[usize], out: &mut Matrix| {
+            wf.flip_log_psi_into(b, flips, ws, out)
+        };
         if hi > lo {
             sample_out.batch.copy_rows_into(lo..hi, shard_batch);
             shard_log_psi.resize(hi - lo);
             shard_log_psi
                 .as_mut_slice()
                 .copy_from_slice(&sample_out.log_psi.as_slice()[lo..hi]);
-            local_energies_into(
+            local_energies_flip_into(
                 h,
                 shard_batch,
                 shard_log_psi,
@@ -322,8 +324,10 @@ mod tests {
         let mut ws = Workspace::default();
         let mut le = LocalEnergyScratch::default();
         let mut full = Vector::default();
-        let mut eval = |b: &SpinBatch, dst: &mut Vector| wf.log_psi_into(b, &mut ws, dst);
-        local_energies_into(
+        let mut eval = |b: &SpinBatch, flips: &[usize], dst: &mut Matrix| {
+            wf.flip_log_psi_into(b, flips, &mut ws, dst)
+        };
+        local_energies_flip_into(
             &h,
             &out.batch,
             &out.log_psi,
@@ -346,9 +350,10 @@ mod tests {
                 let mut ws2 = Workspace::default();
                 let mut le2 = LocalEnergyScratch::default();
                 let mut shard = Vector::default();
-                let mut eval2 =
-                    |b: &SpinBatch, dst: &mut Vector| wf.log_psi_into(b, &mut ws2, dst);
-                local_energies_into(
+                let mut eval2 = |b: &SpinBatch, flips: &[usize], dst: &mut Matrix| {
+                    wf.flip_log_psi_into(b, flips, &mut ws2, dst)
+                };
+                local_energies_flip_into(
                     &h,
                     &shard_batch,
                     &shard_lp,

@@ -17,7 +17,7 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use vqmc_hamiltonian::{
-    local_energies_into, LocalEnergyConfig, LocalEnergyScratch, SparseRowHamiltonian,
+    local_energies_flip_into, LocalEnergyConfig, LocalEnergyScratch, SparseRowHamiltonian,
 };
 use vqmc_nn::WaveFunction;
 use vqmc_optim::{Adam, Optimizer, Sgd, SrConfig, SrScratch, StochasticReconfiguration};
@@ -240,8 +240,10 @@ where
         self.sampler
             .sample_into(&self.wf, self.config.batch_size, &mut self.rng, sample_out);
         let wf = &self.wf;
-        let mut eval = |b: &SpinBatch, out: &mut Vector| wf.log_psi_into(b, ws, out);
-        local_energies_into(
+        let mut eval = |b: &SpinBatch, flips: &[usize], out: &mut Matrix| {
+            wf.flip_log_psi_into(b, flips, ws, out)
+        };
+        local_energies_flip_into(
             h,
             &sample_out.batch,
             &sample_out.log_psi,
@@ -310,8 +312,10 @@ where
         let out = self.sampler.sample(&self.wf, eval_batch_size, &mut self.rng);
         let TrainerScratch { ws, le, local, .. } = &mut self.scratch;
         let wf = &self.wf;
-        let mut eval = |b: &SpinBatch, dst: &mut Vector| wf.log_psi_into(b, ws, dst);
-        local_energies_into(
+        let mut eval = |b: &SpinBatch, flips: &[usize], dst: &mut Matrix| {
+            wf.flip_log_psi_into(b, flips, ws, dst)
+        };
+        local_energies_flip_into(
             h,
             &out.batch,
             &out.log_psi,
@@ -441,6 +445,93 @@ mod tests {
         for (ra, rb) in a.records.iter().zip(&b.records) {
             assert_eq!(ra.energy, rb.energy);
             assert_eq!(ra.std_dev, rb.std_dev);
+        }
+    }
+
+    /// `Made` with every method forwarded except `flip_log_psi_into`,
+    /// so the trainer's local energy runs the trait default (one full
+    /// forward pass per neighbour).
+    struct FullForward(Made);
+
+    impl WaveFunction for FullForward {
+        fn num_spins(&self) -> usize {
+            self.0.num_spins()
+        }
+        fn num_params(&self) -> usize {
+            self.0.num_params()
+        }
+        fn log_psi(&self, batch: &SpinBatch) -> Vector {
+            self.0.log_psi(batch)
+        }
+        fn weighted_log_psi_grad(&self, batch: &SpinBatch, weights: &Vector) -> Vector {
+            self.0.weighted_log_psi_grad(batch, weights)
+        }
+        fn per_sample_grads(&self, batch: &SpinBatch) -> Matrix {
+            self.0.per_sample_grads(batch)
+        }
+        fn params(&self) -> Vector {
+            self.0.params()
+        }
+        fn set_params(&mut self, params: &Vector) {
+            self.0.set_params(params)
+        }
+        fn log_psi_into(&self, batch: &SpinBatch, ws: &mut Workspace, out: &mut Vector) {
+            self.0.log_psi_into(batch, ws, out)
+        }
+        fn weighted_log_psi_grad_into(
+            &self,
+            batch: &SpinBatch,
+            weights: &Vector,
+            ws: &mut Workspace,
+            out: &mut Vector,
+        ) {
+            self.0.weighted_log_psi_grad_into(batch, weights, ws, out)
+        }
+        fn per_sample_grads_into(&self, batch: &SpinBatch, ws: &mut Workspace, out: &mut Matrix) {
+            self.0.per_sample_grads_into(batch, ws, out)
+        }
+        fn params_into(&self, out: &mut Vector) {
+            self.0.params_into(out)
+        }
+    }
+
+    impl vqmc_nn::Autoregressive for FullForward {
+        fn conditionals(&self, batch: &SpinBatch) -> Matrix {
+            self.0.conditionals(batch)
+        }
+        fn conditionals_into(&self, batch: &SpinBatch, ws: &mut Workspace, out: &mut Matrix) {
+            self.0.conditionals_into(batch, ws, out)
+        }
+    }
+
+    /// The trainer on MADE's flip-local local energy reproduces the
+    /// full-forward trainer bit for bit over several TIM iterations —
+    /// energies, spreads and final parameters — at depths 1 and 2, with
+    /// every flip in one call and with one flip per call.
+    #[test]
+    fn flip_local_energy_trains_bit_identically_to_full_forward() {
+        let n = 10;
+        let h = TransverseFieldIsing::random(n, 8);
+        for hidden in [vec![24usize], vec![20, 14]] {
+            for chunk_rows in [16_384usize, 40] {
+                let mut cfg = small_config(6, 48, OptimizerChoice::paper_default(), 4);
+                cfg.local_energy = LocalEnergyConfig { chunk_rows };
+                let wf = Made::with_hidden(n, &hidden, 6);
+                let mut fast = Trainer::new(wf.clone(), AutoSampler::new(), cfg);
+                let mut full = Trainer::new(FullForward(wf), AutoSampler::new(), cfg);
+                let (a, b) = (fast.run(&h), full.run(&h));
+                for (i, (ra, rb)) in a.records.iter().zip(&b.records).enumerate() {
+                    let tag = format!("hidden {hidden:?} chunk {chunk_rows} iter {i}");
+                    assert_eq!(ra.energy.to_bits(), rb.energy.to_bits(), "{tag}");
+                    assert_eq!(ra.std_dev.to_bits(), rb.std_dev.to_bits(), "{tag}");
+                }
+                let bits = |v: Vector| v.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(fast.wavefunction().params()),
+                    bits(full.wavefunction().params()),
+                    "hidden {hidden:?} chunk {chunk_rows}: final parameters"
+                );
+            }
         }
     }
 

@@ -46,7 +46,10 @@ use vqmc_tensor::{SpinBatch, Vector, Workspace};
 pub use couplings::Couplings;
 pub use dense::DenseHamiltonian;
 pub use exact::{ground_state, GroundState};
-pub use local_energy::{local_energies, local_energies_into, LocalEnergyConfig, LocalEnergyScratch};
+pub use local_energy::{
+    local_energies, local_energies_flip_into, local_energies_into, LocalEnergyConfig,
+    LocalEnergyScratch,
+};
 pub use maxcut::{Graph, MaxCut, Qubo};
 pub use tim::TransverseFieldIsing;
 

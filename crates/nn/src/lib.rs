@@ -124,6 +124,40 @@ pub trait WaveFunction: Send + Sync {
     fn params_into(&self, out: &mut Vector) {
         out.copy_from(&self.params());
     }
+
+    /// `logψθ(x ⊕ eᵢ)` for every sample `x` of `batch` and every flip
+    /// `i` in `flips`: `out` is reshaped to `flips.len() × bs`, row `f`
+    /// holding the neighbours that flip bit `flips[f]`.  This is what a
+    /// single-flip Hamiltonian's local energy needs.
+    ///
+    /// The default builds every neighbour in one pooled batch (flip-major,
+    /// `flips.len() · bs` rows) and runs one [`WaveFunction::log_psi_into`]
+    /// over it, so it costs a full forward pass per neighbour and is
+    /// exactly the closure path of the local-energy engine.  [`Made`]
+    /// overrides it with a flip-local pass that is bit-identical to this
+    /// default (property-tested in `tests/flip_identity.rs`).
+    fn flip_log_psi_into(
+        &self,
+        batch: &SpinBatch,
+        flips: &[usize],
+        ws: &mut Workspace,
+        out: &mut Matrix,
+    ) {
+        let (bs, n) = (batch.batch_size(), batch.num_spins());
+        let mut neigh = ws.take_batch(flips.len() * bs, n);
+        let bytes = neigh.as_bytes_mut();
+        for (f, &i) in flips.iter().enumerate() {
+            let dst = &mut bytes[f * bs * n..(f + 1) * bs * n];
+            dst.copy_from_slice(batch.as_bytes());
+            for row in dst.chunks_exact_mut(n) {
+                row[i] ^= 1;
+            }
+        }
+        let mut values = Vector(std::mem::take(out).into_vec());
+        self.log_psi_into(&neigh, ws, &mut values);
+        *out = Matrix::from_vec(flips.len(), bs, values.into_vec());
+        ws.give_batch(neigh);
+    }
 }
 
 /// A wavefunction whose squared amplitude is an exactly normalised

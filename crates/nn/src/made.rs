@@ -37,7 +37,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use vqmc_tensor::{ops, Matrix, SpinBatch, Vector, Workspace};
+use vqmc_tensor::{gemm, ops, par, Matrix, SpinBatch, Vector, Workspace};
 
 use crate::masks;
 use crate::{init, Autoregressive, WaveFunction};
@@ -85,6 +85,29 @@ impl MaskedLinear {
     }
 }
 
+/// A layer's units in ascending MADE degree (stable), and for every
+/// input bit `i` the first position whose degree exceeds `i`.  Flipping
+/// bit `i` changes exactly the units `units[first_above[i]..]` — a
+/// contiguous tail the flip path hands to the GEMM as a row selection.
+/// Output unit `j` counts as degree `j` (logit `j` sees bits `< j`).
+/// Shape-only: fixed at construction.
+#[derive(Clone, Serialize, Deserialize)]
+struct DegreeOrder {
+    units: Vec<usize>,
+    first_above: Vec<usize>,
+}
+
+impl DegreeOrder {
+    fn new(n: usize, degrees: &[usize]) -> Self {
+        let mut units: Vec<usize> = (0..degrees.len()).collect();
+        units.sort_by_key(|&k| degrees[k]);
+        let first_above = (0..n)
+            .map(|i| units.partition_point(|&k| degrees[k] <= i))
+            .collect();
+        DegreeOrder { units, first_above }
+    }
+}
+
 /// Masked autoencoder wavefunction: a stack of [`MaskedLinear`] layers
 /// with ReLU between them.
 #[derive(Clone, Serialize, Deserialize)]
@@ -92,6 +115,8 @@ pub struct Made {
     n: usize,
     hidden: Vec<usize>,
     layers: Vec<MaskedLinear>,
+    /// Per layer: units by degree (the flip path's row selections).
+    degree_order: Vec<DegreeOrder>,
     /// Bumped on every [`Made::set_params`].  Lets callers that cache
     /// derived quantities (e.g. the incremental sampler's `W₁ᵀ` or the
     /// per-layer f32 weight caches) detect staleness without holding a
@@ -271,10 +296,16 @@ impl Made {
         w.hadamard_inplace(&mask);
         let b = init::linear_bias(in_dim, n, &mut rng);
         layers.push(MaskedLinear { w, b, mask });
+        let out_degrees: Vec<usize> = (0..n).collect();
         Made {
             n,
             hidden: hidden.to_vec(),
             layers,
+            degree_order: degrees
+                .iter()
+                .chain([&out_degrees])
+                .map(|d| DegreeOrder::new(n, d))
+                .collect(),
             version: 0,
         }
     }
@@ -588,6 +619,21 @@ impl Made {
     }
 }
 
+/// Runs `f(first_row, rows)` over contiguous row stripes of `m`, over
+/// the pool when `work_per_row` elements per row pay for a dispatch.
+/// Row-wise work, so any partition is bit-identical.
+fn for_row_stripes(m: &mut Matrix, work_per_row: usize, f: impl Fn(usize, &mut [f64]) + Sync) {
+    let cols = m.cols();
+    if cols == 0 {
+        return;
+    }
+    if par::should_parallelize(m.rows() * work_per_row) {
+        par::for_each_stripe_mut(m.as_mut_slice(), cols, |off, stripe| f(off / cols, stripe));
+    } else {
+        f(0, m.as_mut_slice());
+    }
+}
+
 fn column_sums_into(m: &Matrix, out: &mut Vector) {
     out.resize(m.cols());
     out.fill(0.0);
@@ -669,6 +715,139 @@ impl WaveFunction for Made {
     ) {
         let mut mws = MadeWorkspace::from_pool(ws, self.layers.len());
         self.weighted_log_psi_grad_with(batch, weights, &mut mws, out);
+        mws.into_pool(ws);
+    }
+
+    /// Prefix reuse: one forward pass of `x`, then per flip `i` only
+    /// what bit `i` can reach.
+    ///
+    /// * Hidden layer `l`: the units of degree `> i` (a tail of
+    ///   [`DegreeOrder`]) are recomputed by one `gemm_nt` against that
+    ///   row selection of `W_l`, with bias and ReLU, and written over
+    ///   `x`'s activations in place; columns a previous flip changed and
+    ///   this one does not are first restored from `x`'s
+    ///   pre-activations.
+    /// * Output: only logits `j > i`, against `W_out` rows `i+1..n`.
+    /// * `logπ`: the row of log-sigmoid terms is `x`'s for `j < i`, term
+    ///   `i` with its sign flipped, the recomputed suffix for `j > i`;
+    ///   summed with the same `reduce::sum` and halved.
+    ///
+    /// Bit-identical to a full forward pass of every neighbour, for
+    /// finite parameters and activations: a `gemm_nt` entry is one
+    /// `k`-ordered chain independent of its position in the call (see
+    /// `vqmc_tensor::gemm`), a unit of degree `≤ i` sees the flipped
+    /// bit only through exact-zero masked weights (`±0 · v` is the same
+    /// `±0` for every finite `v ≥ 0`, and inputs and ReLU outputs are
+    /// never negative or `-0`), and the slice kernels are elementwise.
+    /// An infinite or NaN activation breaks the masked-zero argument
+    /// (`∞ · 0 = NaN`).  Buffers come from `ws` in a fixed order, so a
+    /// warm pool makes this allocation-free.
+    fn flip_log_psi_into(
+        &self,
+        batch: &SpinBatch,
+        flips: &[usize],
+        ws: &mut Workspace,
+        out: &mut Matrix,
+    ) {
+        let n = self.n;
+        let bs = batch.batch_size();
+        let last = self.layers.len() - 1;
+        let mut mws = MadeWorkspace::from_pool(ws, self.layers.len());
+        self.forward_with(batch, &mut mws);
+        let mut part = Matrix::from_vec(0, 0, ws.take(0));
+        let mut terms = ws.take_matrix(bs, n);
+        let mut rows = ws.take_matrix(bs, n);
+        // x's signed logits (`a` where the bit is 1, `-a` where it is 0)
+        // and their log-sigmoid terms.
+        {
+            let logits = mws.z[last].as_slice();
+            for ((t, &a), &bit) in terms.as_mut_slice().iter_mut().zip(logits).zip(batch.as_bytes()) {
+                *t = if bit == 1 { a } else { -a };
+            }
+        }
+        ops::log_sigmoid_slice(terms.as_mut_slice());
+        out.resize(flips.len(), bs);
+        // Per hidden layer, `units[dirty..]` may hold a neighbour's
+        // activations; the rest are `x`'s.
+        let mut dirty = [0usize; MAX_LAYERS];
+        for (d, order) in dirty.iter_mut().zip(&self.degree_order) {
+            *d = order.units.len();
+        }
+        let MadeWorkspace { x, z, h, .. } = &mut mws;
+        for (f, &i) in flips.iter().enumerate() {
+            assert!(i < n, "Made: flip index {i} out of range for {n} spins");
+            for s in 0..bs {
+                x.row_mut(s)[i] = f64::from(batch.sample(s)[i] ^ 1);
+            }
+            for l in 0..last {
+                let order = &self.degree_order[l];
+                let p = order.first_above[i];
+                let (lo, hi) = h.split_at_mut(l);
+                let act = &mut hi[0];
+                if dirty[l] < p {
+                    let back = &order.units[dirty[l]..p];
+                    let zl = &z[l];
+                    for_row_stripes(act, back.len(), |r0, stripe| {
+                        for (r, row) in stripe.chunks_exact_mut(zl.cols()).enumerate() {
+                            let zr = zl.row(r0 + r);
+                            for &k in back {
+                                row[k] = ops::relu(zr[k]);
+                            }
+                        }
+                    });
+                }
+                dirty[l] = p;
+                let sel = &order.units[p..];
+                if sel.is_empty() {
+                    continue;
+                }
+                let input: &Matrix = if l == 0 { x } else { &lo[l - 1] };
+                gemm::gemm_nt_rows_into(input, &self.layers[l].w, sel, &mut part);
+                let bias = self.layers[l].b.as_slice();
+                let part = &part;
+                for_row_stripes(act, sel.len(), |r0, stripe| {
+                    for (r, row) in stripe.chunks_exact_mut(bias.len()).enumerate() {
+                        for (&k, &v) in sel.iter().zip(part.row(r0 + r)) {
+                            row[k] = ops::relu(v + bias[k]);
+                        }
+                    }
+                });
+            }
+            // Output units are already in degree order: the tail is
+            // logits `i+1..n`.
+            let suffix = &self.degree_order[last].units[i + 1..];
+            gemm::gemm_nt_rows_into(&h[last - 1], &self.layers[last].w, suffix, &mut part);
+            let bias = &self.layers[last].b.as_slice()[i + 1..];
+            let (terms, part) = (&terms, &part);
+            let dst = par::SendPtr(out.row_mut(f).as_mut_ptr());
+            for_row_stripes(&mut rows, n, |r0, stripe| {
+                for (r, row) in stripe.chunks_exact_mut(n).enumerate() {
+                    let s = r0 + r;
+                    let bits = batch.sample(s);
+                    row[..i].copy_from_slice(&terms.row(s)[..i]);
+                    // Term i: same logit, flipped bit.
+                    let a = z[last].row(s)[i];
+                    row[i] = if bits[i] == 1 { -a } else { a };
+                    for (((t, &v), &b), &bit) in
+                        row[i + 1..].iter_mut().zip(part.row(s)).zip(bias).zip(&bits[i + 1..])
+                    {
+                        let a = v + b;
+                        *t = if bit == 1 { a } else { -a };
+                    }
+                    ops::log_sigmoid_slice(&mut row[i..]);
+                    // SAFETY: stripes are disjoint row ranges, so each
+                    // sample's slot is written by one worker; `out`
+                    // outlives the region.
+                    unsafe { *dst.get().add(s) = vqmc_tensor::reduce::sum(row) * 0.5 };
+                }
+            });
+            for s in 0..bs {
+                x.row_mut(s)[i] = f64::from(batch.sample(s)[i]);
+            }
+        }
+        ws.give_matrix(rows);
+        ws.give_matrix(terms);
+        ws.give_matrix(part);
         mws.into_pool(ws);
     }
 

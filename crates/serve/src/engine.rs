@@ -27,7 +27,8 @@ use std::sync::{Arc, RwLock};
 use std::time::Instant;
 
 use vqmc_hamiltonian::{
-    local_energies_into, LocalEnergyConfig, LocalEnergyScratch, SparseRowHamiltonian,
+    local_energies_flip_into, local_energies_into, LocalEnergyConfig, LocalEnergyScratch,
+    SparseRowHamiltonian,
 };
 use vqmc_nn::checkpoint::AnyModel;
 use vqmc_nn::{MadeF32, MadeF32Workspace};
@@ -337,11 +338,11 @@ impl Engine {
             let wf = self.model.as_wavefunction();
             wf.log_psi_into(&self.concat, &mut self.ws, &mut self.log_psi_buf);
             let neigh_ws = &mut self.neigh_ws;
-            local_energies_into(
+            local_energies_flip_into(
                 h.as_ref(),
                 &self.concat,
                 &self.log_psi_buf,
-                &mut |b, dst| wf.log_psi_into(b, neigh_ws, dst),
+                &mut |b, flips, dst| wf.flip_log_psi_into(b, flips, neigh_ws, dst),
                 self.le_config,
                 &mut self.le_scratch,
                 &mut self.le_out,

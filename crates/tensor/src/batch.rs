@@ -171,9 +171,10 @@ impl SpinBatch {
         &mut self.data[start..start + self.num_spins]
     }
 
-    /// Iterator over sample slices.
+    /// Iterator over sample slices (`batch_size` empty slices when
+    /// `num_spins == 0`).
     pub fn samples(&self) -> impl Iterator<Item = &[u8]> {
-        self.data.chunks_exact(self.num_spins)
+        (0..self.batch_size).map(move |s| self.sample(s))
     }
 
     /// Fills every spin with `bit` (0 or 1).
@@ -253,6 +254,22 @@ impl SpinBatch {
             .copy_from_slice(&self.data[start..start + rows * self.num_spins]);
     }
 
+    /// Wraps a row-major byte buffer without copying (the
+    /// [`crate::Workspace`] batch pool).
+    pub(crate) fn from_raw(batch_size: usize, num_spins: usize, data: Vec<u8>) -> Self {
+        debug_assert_eq!(data.len(), batch_size * num_spins);
+        SpinBatch {
+            batch_size,
+            num_spins,
+            data,
+        }
+    }
+
+    /// The backing byte buffer (capacity intact).
+    pub(crate) fn into_raw(self) -> Vec<u8> {
+        self.data
+    }
+
     /// Raw byte view (for hashing / dedup in tests).
     pub fn as_bytes(&self) -> &[u8] {
         &self.data
@@ -319,6 +336,15 @@ impl std::fmt::Debug for SpinBatch {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn zero_width_samples() {
+        let b = SpinBatch::zeros(4, 0);
+        let rows: Vec<&[u8]> = b.samples().collect();
+        assert_eq!(rows.len(), 4);
+        assert!(rows.iter().all(|r| r.is_empty()));
+        assert_eq!(SpinBatch::zeros(0, 3).samples().count(), 0);
+    }
 
     #[test]
     fn construction_and_access() {

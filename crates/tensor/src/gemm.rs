@@ -57,13 +57,26 @@
 //! ones at every thread count (`tests/thread_identity.rs`).  `tn`
 //! avoids a partial-`C` reduction by having each worker scan the whole
 //! shared `k` dimension for its rows.
+//!
+//! ## Position independence of `nt`
+//!
+//! On either arm a `gemm_nt` element is `0 +` one `k`-ordered
+//! multiply-add chain per `KC` block, the blocks added in ascending
+//! order: the quad tiles, the row and column remainders and every lane
+//! of the packed microkernel run the same chain.  So an element's bits
+//! depend on its `A` row and `B` row alone — not on where the row sits
+//! in the tile grid, on `m` or `n`, or on which other rows share the
+//! call.  [`gemm_nt_rows_into`] (a row selection of `B`) relies on this,
+//! and MADE's flip-local neighbour pass relies on it to reproduce a full
+//! forward pass bit for bit (`tests/kernel_proptests.rs` pins it on
+//! both arms).
 
 use std::cell::RefCell;
 
 use crate::matrix::Matrix;
 use crate::par;
 use crate::simd::{self, MicroKernel};
-use crate::vector::{axpy, dot};
+use crate::vector::axpy;
 use crate::workspace::Workspace;
 
 /// Microkernel accumulator tile height (A rows per tile).
@@ -168,13 +181,25 @@ fn packed_driver(
 
 /// Gathers *rows* `[r0, r0+rc)` (k-slice `[l0, l0+lc)`) of a row-major
 /// operand into `ph`-high micro-panels:
-/// `buf[panel*ph*lc + p*ph + r] = src[r0 + panel*ph + r, l0 + p]`.
+/// `buf[panel*ph*lc + p*ph + r] = src[r0 + panel*ph + r, l0 + p]`,
+/// where row `j` means `src` row `sel[j]` when a selection is given.
 /// Panel tails beyond `rc` stay at the pool's zero fill.
-fn pack_rows(src: &Matrix, r0: usize, rc: usize, l0: usize, lc: usize, ph: usize, buf: &mut [f64]) {
+#[allow(clippy::too_many_arguments)]
+fn pack_rows(
+    src: &Matrix,
+    sel: Option<&[usize]>,
+    r0: usize,
+    rc: usize,
+    l0: usize,
+    lc: usize,
+    ph: usize,
+    buf: &mut [f64],
+) {
     for (ip, panel) in buf.chunks_mut(ph * lc).enumerate() {
         let rows_here = ph.min(rc.saturating_sub(ip * ph));
         for r in 0..rows_here {
-            let row = &src.row(r0 + ip * ph + r)[l0..l0 + lc];
+            let j = r0 + ip * ph + r;
+            let row = &src.row(sel.map_or(j, |rows| rows[j]))[l0..l0 + lc];
             for (p, &v) in row.iter().enumerate() {
                 panel[p * ph + r] = v;
             }
@@ -285,8 +310,8 @@ pub fn gemm_nt_packed_with(a: &Matrix, b: &Matrix, c: &mut Matrix, micro: MicroK
         m,
         n,
         k,
-        |i0, ic, l0, lc, buf| pack_rows(a, i0, ic, l0, lc, MR_SIMD, buf),
-        |j0, jc, l0, lc, buf| pack_rows(b, j0, jc, l0, lc, NR_SIMD, buf),
+        |i0, ic, l0, lc, buf| pack_rows(a, None, i0, ic, l0, lc, MR_SIMD, buf),
+        |j0, jc, l0, lc, buf| pack_rows(b, None, j0, jc, l0, lc, NR_SIMD, buf),
         c.as_mut_slice(),
         micro,
     );
@@ -306,7 +331,7 @@ pub fn gemm_nn_packed_with(a: &Matrix, b: &Matrix, c: &mut Matrix, micro: MicroK
         m,
         n,
         k,
-        |i0, ic, l0, lc, buf| pack_rows(a, i0, ic, l0, lc, MR_SIMD, buf),
+        |i0, ic, l0, lc, buf| pack_rows(a, None, i0, ic, l0, lc, MR_SIMD, buf),
         |j0, jc, l0, lc, buf| pack_cols(b, j0, jc, l0, lc, NR_SIMD, buf),
         c.as_mut_slice(),
         micro,
@@ -343,8 +368,22 @@ pub fn gemm_nt(a: &Matrix, b: &Matrix) -> Matrix {
 
 /// [`gemm_nt`] into a caller-owned output (reshaped in place).
 pub fn gemm_nt_into(a: &Matrix, b: &Matrix, c: &mut Matrix) {
+    nt_into(a, b, None, c);
+}
+
+/// `C[m, j] = A[m,:] · B[rows[j],:]` — [`gemm_nt_into`] against a
+/// selection of `B`'s rows (any order, repeats allowed), read in place
+/// while packing: no copy of the selected rows is made.  Every entry is
+/// bit-identical to the matching entry of the full product (see the
+/// module docs on position independence).
+pub fn gemm_nt_rows_into(a: &Matrix, b: &Matrix, rows: &[usize], c: &mut Matrix) {
+    nt_into(a, b, Some(rows), c);
+}
+
+fn nt_into(a: &Matrix, b: &Matrix, sel: Option<&[usize]>, c: &mut Matrix) {
     let (m, k) = a.shape();
-    let (n, kb) = b.shape();
+    let kb = b.cols();
+    let n = sel.map_or(b.rows(), <[usize]>::len);
     assert_eq!(
         k, kb,
         "gemm_nt: inner dimensions disagree (A is {m}x{k}, B^T is {kb}x{n})"
@@ -355,29 +394,27 @@ pub fn gemm_nt_into(a: &Matrix, b: &Matrix, c: &mut Matrix) {
             m,
             n,
             k,
-            &|i0, ic, l0, lc, buf| pack_rows(a, i0, ic, l0, lc, MR_SIMD, buf),
-            &|j0, jc, l0, lc, buf| pack_rows(b, j0, jc, l0, lc, NR_SIMD, buf),
+            &|i0, ic, l0, lc, buf| pack_rows(a, None, i0, ic, l0, lc, MR_SIMD, buf),
+            &|j0, jc, l0, lc, buf| pack_rows(b, sel, j0, jc, l0, lc, NR_SIMD, buf),
             c.as_mut_slice(),
             micro,
         );
     } else {
-        nt_striped(a, b, c.as_mut_slice());
+        nt_striped(a, b, sel, c.as_mut_slice());
     }
 }
 
 /// Scalar-arm `nt`: `MR`-aligned row stripes over the pool when the
 /// shape clears the FLOP gate, one sequential [`nt_panel`] otherwise.
-/// Stripe starts are multiples of `MR`, so each row keeps the
-/// quad-tile/remainder classification it has in the sequential sweep
-/// (quad rows hit [`micro_4x4`], remainder rows hit [`dot`]) — the
+/// Quad tiles and remainders run the same per-element chain, so the
 /// per-row value is partition-invariant, hence bit-identical.
-fn nt_striped(a: &Matrix, b: &Matrix, c: &mut [f64]) {
+fn nt_striped(a: &Matrix, b: &Matrix, sel: Option<&[usize]>, c: &mut [f64]) {
     let (m, k) = a.shape();
-    let n = b.rows();
+    let n = sel.map_or(b.rows(), <[usize]>::len);
     let units = m.div_ceil(MR);
     let parts = par::active_threads().min(units.max(1));
     if parts <= 1 || !par::should_parallelize_gemm(m * n * k) {
-        nt_panel(a, b, c, 0);
+        nt_panel(a, b, sel, c, 0);
         return;
     }
     let base = par::SendPtr(c.as_mut_ptr());
@@ -390,7 +427,7 @@ fn nt_striped(a: &Matrix, b: &Matrix, c: &mut [f64]) {
             // the borrow of `c` ends.
             let slab =
                 unsafe { std::slice::from_raw_parts_mut(base.get().add(r0 * n), (r1 - r0) * n) };
-            nt_panel(a, b, slab, r0);
+            nt_panel(a, b, sel, slab, r0);
         }
     });
 }
@@ -406,7 +443,7 @@ pub fn gemm_nt_blocked_scalar_into(a: &Matrix, b: &Matrix, c: &mut Matrix) {
         "gemm_nt: inner dimensions disagree (A is {m}x{k}, B^T is {kb}x{n})"
     );
     c.resize(m, n);
-    nt_panel(a, b, c.as_mut_slice(), 0);
+    nt_panel(a, b, None, c.as_mut_slice(), 0);
 }
 
 /// The 4×4 register-tile inner product: `acc[i][j] = aᵢ · bⱼ` over one
@@ -459,13 +496,28 @@ fn micro_4x4(
     ]
 }
 
-/// Blocked `nt` sweep writing output rows `[row0, row0 + c_panel.len()/n)`.
-fn nt_panel(a: &Matrix, b: &Matrix, c_panel: &mut [f64], row0: usize) {
+/// One `k`-ordered multiply-add chain from zero: the per-element order
+/// of [`micro_4x4`], used for the tile remainders so an element's bits
+/// do not depend on its position in the tile grid.
+#[inline(always)]
+fn dot_chain(a: &[f64], b: &[f64]) -> f64 {
+    let b = &b[..a.len()];
+    let mut acc = 0.0f64;
+    for (x, y) in a.iter().zip(b) {
+        acc += x * y;
+    }
+    acc
+}
+
+/// Blocked `nt` sweep writing output rows `[row0, row0 + c_panel.len()/n)`;
+/// `C` column `j` reads `B` row `sel[j]` when a selection is given.
+fn nt_panel(a: &Matrix, b: &Matrix, sel: Option<&[usize]>, c_panel: &mut [f64], row0: usize) {
     let k = a.cols();
-    let n = b.rows();
+    let n = sel.map_or(b.rows(), <[usize]>::len);
     if n == 0 || c_panel.is_empty() {
         return;
     }
+    let b_row = |j: usize| b.row(sel.map_or(j, |rows| rows[j]));
     let rows_here = c_panel.len() / n;
     c_panel.fill(0.0);
 
@@ -483,10 +535,10 @@ fn nt_panel(a: &Matrix, b: &Matrix, c_panel: &mut [f64], row0: usize) {
                 let a3 = &a.row(row0 + r + 3)[l0..l0 + lc];
                 let mut j = j0;
                 while j + NR <= j_end {
-                    let b0 = &b.row(j)[l0..l0 + lc];
-                    let b1 = &b.row(j + 1)[l0..l0 + lc];
-                    let b2 = &b.row(j + 2)[l0..l0 + lc];
-                    let b3 = &b.row(j + 3)[l0..l0 + lc];
+                    let b0 = &b_row(j)[l0..l0 + lc];
+                    let b1 = &b_row(j + 1)[l0..l0 + lc];
+                    let b2 = &b_row(j + 2)[l0..l0 + lc];
+                    let b3 = &b_row(j + 3)[l0..l0 + lc];
                     let acc = micro_4x4(a0, a1, a2, a3, b0, b1, b2, b3);
                     for (ri, acc_row) in acc.iter().enumerate() {
                         let base = (r + ri) * n + j;
@@ -498,20 +550,20 @@ fn nt_panel(a: &Matrix, b: &Matrix, c_panel: &mut [f64], row0: usize) {
                 }
                 // Column remainder: one B row against the four A rows.
                 while j < j_end {
-                    let b_row = &b.row(j)[l0..l0 + lc];
-                    c_panel[r * n + j] += dot(a0, b_row);
-                    c_panel[(r + 1) * n + j] += dot(a1, b_row);
-                    c_panel[(r + 2) * n + j] += dot(a2, b_row);
-                    c_panel[(r + 3) * n + j] += dot(a3, b_row);
+                    let bj = &b_row(j)[l0..l0 + lc];
+                    c_panel[r * n + j] += dot_chain(a0, bj);
+                    c_panel[(r + 1) * n + j] += dot_chain(a1, bj);
+                    c_panel[(r + 2) * n + j] += dot_chain(a2, bj);
+                    c_panel[(r + 3) * n + j] += dot_chain(a3, bj);
                     j += 1;
                 }
                 r += MR;
             }
-            // Row remainder: plain dots over the current block.
+            // Row remainder: the same chain per element.
             while r < rows_here {
                 let a_row = &a.row(row0 + r)[l0..l0 + lc];
                 for j in j0..j_end {
-                    c_panel[r * n + j] += dot(a_row, &b.row(j)[l0..l0 + lc]);
+                    c_panel[r * n + j] += dot_chain(a_row, &b_row(j)[l0..l0 + lc]);
                 }
                 r += 1;
             }
@@ -542,7 +594,7 @@ pub fn gemm_nn_into(a: &Matrix, b: &Matrix, c: &mut Matrix) {
             m,
             n,
             k,
-            &|i0, ic, l0, lc, buf| pack_rows(a, i0, ic, l0, lc, MR_SIMD, buf),
+            &|i0, ic, l0, lc, buf| pack_rows(a, None, i0, ic, l0, lc, MR_SIMD, buf),
             &|j0, jc, l0, lc, buf| pack_cols(b, j0, jc, l0, lc, NR_SIMD, buf),
             c.as_mut_slice(),
             micro,

@@ -138,9 +138,9 @@ impl Matrix {
         &mut self.data[start..start + self.cols]
     }
 
-    /// Iterator over row slices.
+    /// Iterator over row slices (`rows` empty slices when `cols == 0`).
     pub fn rows_iter(&self) -> impl Iterator<Item = &[f64]> {
-        self.data.chunks_exact(self.cols)
+        (0..self.rows).map(move |r| self.row(r))
     }
 
     /// Column `c` copied into a new [`Vector`].
@@ -275,6 +275,9 @@ impl Matrix {
     /// Adds `bias` (length `cols`) to every row in place.
     pub fn add_row_bias(&mut self, bias: &Vector) {
         assert_eq!(bias.len(), self.cols, "add_row_bias: bias length mismatch");
+        if self.cols == 0 {
+            return;
+        }
         for row in self.data.chunks_exact_mut(self.cols) {
             for (v, b) in row.iter_mut().zip(bias.iter()) {
                 *v += b;
@@ -410,6 +413,18 @@ mod tests {
         assert_eq!(m.get(1, 2), 6.0);
         assert_eq!(m.row(0), &[1.0, 2.0, 3.0]);
         assert_eq!(m.col(1).as_slice(), &[2.0, 5.0]);
+    }
+
+    #[test]
+    fn zero_width_rows_and_bias() {
+        let mut m = Matrix::zeros(3, 0);
+        m.add_row_bias(&Vector::zeros(0));
+        assert_eq!(m.shape(), (3, 0));
+        let rows: Vec<&[f64]> = m.rows_iter().collect();
+        assert_eq!(rows.len(), 3);
+        assert!(rows.iter().all(|r| r.is_empty()));
+        assert_eq!(Matrix::zeros(0, 0).rows_iter().count(), 0);
+        assert_eq!(sample().rows_iter().nth(1), Some(&[4.0, 5.0, 6.0][..]));
     }
 
     #[test]

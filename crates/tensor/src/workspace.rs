@@ -13,12 +13,14 @@
 //! [`Matrix::from_vec`] / [`Matrix::into_vec`] (both allocation-free)
 //! without any lifetime plumbing.
 
-use crate::{Matrix, Vector};
+use crate::{Matrix, SpinBatch, Vector};
 
-/// A LIFO pool of reusable `f64` buffers.
+/// A LIFO pool of reusable `f64` buffers, plus a second LIFO pool of
+/// byte buffers for scratch [`SpinBatch`]es.
 #[derive(Default, Debug)]
 pub struct Workspace {
     pool: Vec<Vec<f64>>,
+    bytes: Vec<Vec<u8>>,
 }
 
 impl Workspace {
@@ -61,7 +63,21 @@ impl Workspace {
         self.give(v.into_vec());
     }
 
-    /// Number of buffers currently parked in the pool.
+    /// Checks out a zeroed `batch_size x num_spins` spin batch from the
+    /// byte pool (same LIFO discipline as [`Workspace::take`]).
+    pub fn take_batch(&mut self, batch_size: usize, num_spins: usize) -> SpinBatch {
+        let mut buf = self.bytes.pop().unwrap_or_default();
+        buf.clear();
+        buf.resize(batch_size * num_spins, 0);
+        SpinBatch::from_raw(batch_size, num_spins, buf)
+    }
+
+    /// Returns a spin batch's buffer to the byte pool.
+    pub fn give_batch(&mut self, batch: SpinBatch) {
+        self.bytes.push(batch.into_raw());
+    }
+
+    /// Number of `f64` buffers currently parked in the pool.
     pub fn parked(&self) -> usize {
         self.pool.len()
     }
@@ -70,6 +86,21 @@ impl Workspace {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn batch_pool_reuses_capacity_and_zeroes() {
+        let mut ws = Workspace::new();
+        let mut b = ws.take_batch(3, 5);
+        b.set(2, 4, 1);
+        let ptr = b.as_bytes().as_ptr();
+        ws.give_batch(b);
+        let b = ws.take_batch(2, 5);
+        assert_eq!((b.batch_size(), b.num_spins()), (2, 5));
+        assert!(b.as_bytes().iter().all(|&v| v == 0));
+        // Same backing buffer, so no allocation at steady state.
+        assert_eq!(b.as_bytes().as_ptr(), ptr);
+        assert_eq!(ws.parked(), 0);
+    }
 
     #[test]
     fn take_returns_zeroed_buffers() {

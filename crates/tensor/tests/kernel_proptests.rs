@@ -78,6 +78,51 @@ proptest! {
         assert_close(&got, &want, k, "gemm_nt");
     }
 
+    /// Position independence: every entry of `gemm_nt` on a row
+    /// selection of `A` (a copied sub-matrix) or of `B`
+    /// (`gemm_nt_rows_into`, read in place) is bit-identical to the
+    /// matching entry of the full product — on whichever SIMD arm is
+    /// dispatched (run under `VQMC_SIMD=off` for the scalar arm) and at
+    /// pool widths 1 and 2.  Shapes straddle the tile edges and `k`
+    /// crosses `KC`.
+    #[test]
+    fn gemm_nt_sub_selection_bit_identical(
+        mr in 0usize..64,
+        nr in 0usize..64,
+        kr in 0usize..700,
+        picks in 0usize..40,
+        seed in 0u64..1000,
+    ) {
+        let (m, n, k) = (near(MR, mr).max(1), near(NR, nr).max(1), near(KC, kr));
+        let a = rand_matrix(m, k, seed);
+        let b = rand_matrix(n, k, seed ^ 0x5E1);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x9);
+        let rows: Vec<usize> = (0..picks % (m + 3)).map(|_| rng.gen_range(0..m)).collect();
+        let cols: Vec<usize> = (0..picks % (n + 5)).map(|_| rng.gen_range(0..n)).collect();
+        let a_sub = Matrix::from_fn(rows.len(), k, |r, l| a.get(rows[r], l));
+        for threads in [1usize, 2] {
+            let (full, by_rows, by_cols) = vqmc_tensor::par::with_threads(threads, || {
+                let mut by_cols = dirty(seed);
+                gemm::gemm_nt_rows_into(&a, &b, &cols, &mut by_cols);
+                (gemm::gemm_nt(&a, &b), gemm::gemm_nt(&a_sub, &b), by_cols)
+            });
+            prop_assert_eq!(by_rows.shape(), (rows.len(), n));
+            prop_assert_eq!(by_cols.shape(), (m, cols.len()));
+            for (r, &src) in rows.iter().enumerate() {
+                for j in 0..n {
+                    prop_assert_eq!(by_rows.get(r, j).to_bits(), full.get(src, j).to_bits(),
+                        "A row {} (as {}) col {} at ({},{},{}) t={}", src, r, j, m, n, k, threads);
+                }
+            }
+            for i in 0..m {
+                for (q, &src) in cols.iter().enumerate() {
+                    prop_assert_eq!(by_cols.get(i, q).to_bits(), full.get(i, src).to_bits(),
+                        "row {} B row {} (as {}) at ({},{},{}) t={}", i, src, q, m, n, k, threads);
+                }
+            }
+        }
+    }
+
     /// `gemm_nt` across the `NC` B-row block boundary (the L2 loop).
     #[test]
     fn gemm_nt_matches_reference_at_nc_block(m in 0usize..12, nr in 0usize..64, k in 0usize..40, seed in 0u64..1000) {
