@@ -296,3 +296,79 @@ fn training_shape_sampling_bit_identical_across_thread_counts() {
         );
     }
 }
+
+/// One pinned deep-sampling shape: `(n, hidden widths, counts, model
+/// seed, f64 digest, f32 digest)`.
+type DeepCase = (usize, &'static [usize], &'static [usize], u64, u64, u64);
+
+/// Digests of deep MADE sampling output (drawn bits plus `logψ` bit
+/// patterns), recorded from the per-bit full-recompute panel pipeline.
+/// The shapes cover degree-0 units (`n = 1`), layers narrower than
+/// `n − 1` (bits past a layer's top degree compute nothing there),
+/// layers wider than `n − 1` (degrees repeat, so one bit computes
+/// several units), a second layer wider than the first, and depth 3.
+const DEEP_DIGESTS: &[DeepCase] = &[
+    (1, &[3, 2], &[1, 3, 16], 5, 0x4c756d59a45badab, 0x7cee2f6b943c251b),
+    (2, &[3, 4], &[1, 3, 40], 6, 0xc85313394683123a, 0xdc74722fdae03138),
+    (7, &[9, 14], &[1, 16, 40], 7, 0x9089d7259bc65870, 0x81b9ce0df5fc57c6),
+    (7, &[5, 3, 8], &[3, 16], 8, 0x98fce28c2d5be3a2, 0x9c898bb7bda8383d),
+    (64, &[48, 20], &[3, 40, 256], 9, 0x5ea00d82043889d7, 0x6d6655081335e2c4),
+    (64, &[70, 90, 12], &[16], 10, 0xfab6e4bf248cce00, 0x7fb002868c16ce57),
+    (256, &[128, 64], &[1, 40, 256], 11, 0x6a8b6e0406722e98, 0x2cbfcbbaccb05366),
+    (256, &[40, 24, 300], &[3], 12, 0x9f92cf936a3988cf, 0xfe07d7efef1a74f2),
+];
+
+/// FNV-1a, folded over one sampler output.
+fn fold_digest(h: &mut u64, batch: &SpinBatch, log_psi: &Vector) {
+    let lp = log_psi.as_slice().iter().flat_map(|v| v.to_bits().to_le_bytes());
+    for b in batch.as_bytes().iter().copied().chain(lp) {
+        *h ^= u64::from(b);
+        *h = h.wrapping_mul(0x0100_0000_01b3);
+    }
+}
+
+/// One warm sampler draws every count as a solo stream, then all counts
+/// again as one coalesced pass; returns the digest of every output.
+fn deep_digest(wf: &Made, counts: &[usize], precision: Precision) -> u64 {
+    let mut sampler = MadeBatchSampler::new();
+    sampler.set_precision(precision);
+    let mut b = SpinBatch::default();
+    let mut lp = Vector::default();
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    for &count in counts {
+        let mut rng = StdRng::seed_from_u64(1000 + count as u64);
+        sampler.sample_stream(wf, count, &mut rng, &mut b, &mut lp);
+        fold_digest(&mut h, &b, &lp);
+    }
+    let reqs: Vec<SampleRequest> = (0..counts.len())
+        .map(|j| SampleRequest {
+            count: counts[j],
+            seed: 77 + j as u64,
+        })
+        .collect();
+    sampler.sample_coalesced(wf, &reqs, &mut b, &mut lp);
+    fold_digest(&mut h, &b, &lp);
+    h
+}
+
+/// Deep sampling output is pinned bit for bit — both precisions, pool
+/// widths 1/2/4, solo streams and coalesced requests — so any change to
+/// the deep panel schedule must reproduce the recorded bits exactly.
+#[test]
+fn deep_sampling_matches_pinned_digests() {
+    let mut mismatches = Vec::new();
+    for &(n, hidden, counts, seed, want64, want32) in DEEP_DIGESTS {
+        let wf = Made::with_hidden(n, hidden, seed);
+        for (precision, want) in [(Precision::F64, want64), (Precision::F32, want32)] {
+            for threads in [1usize, 2, 4] {
+                let got = par::with_threads(threads, || deep_digest(&wf, counts, precision));
+                if got != want {
+                    mismatches.push(format!(
+                        "n={n} hidden={hidden:?} {precision:?} width {threads}: {got:#018x}"
+                    ));
+                }
+            }
+        }
+    }
+    assert!(mismatches.is_empty(), "deep digests differ:\n{}", mismatches.join("\n"));
+}
