@@ -25,13 +25,14 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
+use vqmc_bench::host_tag;
 use vqmc_hamiltonian::{
     local_energies_flip_into, local_energies_into, LocalEnergyConfig, LocalEnergyScratch,
     TransverseFieldIsing,
 };
 use vqmc_nn::{made_hidden_size, Made, WaveFunction};
 use vqmc_sampler::MadeBatchSampler;
-use vqmc_tensor::{par, simd, Matrix, SpinBatch, Vector, Workspace};
+use vqmc_tensor::{par, Matrix, SpinBatch, Vector, Workspace};
 
 fn bench_local_energy(c: &mut Criterion) {
     let mut group = c.benchmark_group("local_energy");
@@ -65,18 +66,6 @@ fn bench_local_energy(c: &mut Criterion) {
         });
     }
     group.finish();
-}
-
-/// `<cores>cpu_<arm>_threads<default pool width>[_<GIT_REV>]`.
-fn host_tag() -> String {
-    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-    let arm = match simd::backend() {
-        simd::Backend::Scalar => "scalar",
-        simd::Backend::Avx2Fma => "avx2",
-        simd::Backend::Avx512 => "avx512",
-    };
-    let rev = std::env::var("GIT_REV").map_or(String::new(), |r| format!("_{r}"));
-    format!("{cores}cpu_{arm}_threads{}{rev}", par::num_threads())
 }
 
 fn bench_flip_vs_closure(c: &mut Criterion) {

@@ -1,5 +1,5 @@
 //! Shared experiment plumbing: CLI scale parsing, table formatting, CSV
-//! output.
+//! output, benchmark host tags.
 
 use std::io::Write as _;
 
@@ -142,6 +142,22 @@ pub fn mean_std(xs: &[f64]) -> (f64, f64) {
 /// Formats `μ ± σ` the way the paper's tables do.
 pub fn pm(mean: f64, std: f64) -> String {
     format!("{mean:.1} ± {std:.1}")
+}
+
+/// `<cores>cpu_<arm>_threads<default pool width>[_<GIT_REV>]`: the host
+/// a benchmark row was measured on (cores, SIMD arm, `VQMC_THREADS`
+/// else the core count, and the `GIT_REV` environment variable when
+/// set), so rows from different hosts and revisions never merge.
+pub fn host_tag() -> String {
+    use vqmc_tensor::{par, simd};
+    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+    let arm = match simd::backend() {
+        simd::Backend::Scalar => "scalar",
+        simd::Backend::Avx2Fma => "avx2",
+        simd::Backend::Avx512 => "avx512",
+    };
+    let rev = std::env::var("GIT_REV").map_or(String::new(), |r| format!("_{r}"));
+    format!("{cores}cpu_{arm}_threads{}{rev}", par::num_threads())
 }
 
 #[cfg(test)]

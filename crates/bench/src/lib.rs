@@ -28,4 +28,4 @@
 
 pub mod harness;
 
-pub use harness::{mean_std, parse_scale, pm, write_csv, Scale, Table};
+pub use harness::{host_tag, mean_std, parse_scale, pm, write_csv, Scale, Table};

@@ -106,6 +106,13 @@ impl DegreeOrder {
             .collect();
         DegreeOrder { units, first_above }
     }
+
+    /// The units of degree exactly `d`, ascending.
+    fn of_degree(&self, d: usize) -> &[usize] {
+        let above = |d: usize| self.first_above.get(d).copied().unwrap_or(self.units.len());
+        let lo = if d == 0 { 0 } else { above(d - 1) };
+        &self.units[lo..above(d)]
+    }
 }
 
 /// Masked autoencoder wavefunction: a stack of [`MaskedLinear`] layers
@@ -338,6 +345,16 @@ impl Made {
     /// Number of hidden layers.
     pub fn depth(&self) -> usize {
         self.hidden.len()
+    }
+
+    /// The units of layer `layer` (an index into [`Made::layers`]; the
+    /// output layer's unit `j` has degree `j`) whose MADE degree is
+    /// exactly `d`, ascending.  A hidden unit of degree `d` reads only
+    /// inputs `< d` and only outputs `≥ d` read it, which is what lets
+    /// the panel sampler compute each deep unit once, at bit `d`.
+    /// Shape-only and allocation-free.
+    pub fn units_of_degree(&self, layer: usize, d: usize) -> &[usize] {
+        self.degree_order[layer].of_degree(d)
     }
 
     /// The full layer stack (`depth() + 1` masked layers).
@@ -907,6 +924,33 @@ mod tests {
 
     fn tiny() -> Made {
         Made::new(5, 9, 42)
+    }
+
+    /// `units_of_degree` partitions every layer by degree: each unit
+    /// appears once, under the degree `masks::hidden_degrees` gives it
+    /// (an output's degree is its index).
+    #[test]
+    fn units_of_degree_partitions_every_layer() {
+        for (n, hidden) in [(1, vec![3, 2]), (2, vec![3, 4]), (7, vec![9, 3, 14])] {
+            let wf = Made::with_hidden(n, &hidden, 1);
+            let degrees: Vec<Vec<usize>> = hidden
+                .iter()
+                .map(|&h| masks::hidden_degrees(n, h))
+                .chain([(0..n).collect()])
+                .collect();
+            for (l, deg) in degrees.iter().enumerate() {
+                let mut seen = vec![0usize; deg.len()];
+                for d in 0..=n {
+                    for &k in wf.units_of_degree(l, d) {
+                        assert_eq!(deg[k], d, "n={n} layer {l} unit {k}");
+                        seen[k] += 1;
+                    }
+                    let of_d = wf.units_of_degree(l, d);
+                    assert!(of_d.windows(2).all(|p| p[0] < p[1]), "ascending");
+                }
+                assert!(seen.iter().all(|&c| c == 1), "n={n} layer {l}: {seen:?}");
+            }
+        }
     }
 
     /// The stack shapes the deep tests sweep: depths 1–3.

@@ -96,6 +96,23 @@ mod tests {
         assert!(d.iter().all(|&m| (1..=4).contains(&m)));
     }
 
+    /// Every layer's degrees are exactly `1..=min(h, n−1)`, with no
+    /// gap: once a bit has no unit of some layer's degree, no later bit
+    /// has one either.  The deep panel sampler relies on it to stop
+    /// updating the layer-1 panel after layer 2's top degree.
+    #[test]
+    fn degrees_are_contiguous_from_one() {
+        for n in 2..40 {
+            for h in 1..100 {
+                let mut d = hidden_degrees(n, h);
+                d.sort_unstable();
+                d.dedup();
+                let top = h.min(n - 1);
+                assert_eq!(d, (1..=top).collect::<Vec<_>>(), "n={n} h={h}");
+            }
+        }
+    }
+
     #[test]
     fn connectivity_is_strictly_lower_triangular() {
         for (n, h) in [(2usize, 3usize), (5, 8), (8, 20), (10, 7)] {

@@ -238,10 +238,25 @@ struct DrawBuffers {
 /// rows are streamed once per *batch* instead of once per *row*.  The
 /// layer-1 panel is incremental: bit `i−1`'s `W₁`-column update is
 /// deferred into the first kernel call that reads it (the output logit
-/// at depth 1, layer 2's unit 0 deeper), so the panel is touched in one
-/// memory pass per bit.  Deeper panels are recomputed per bit
-/// (`w_prev = None` makes the kernel a pure
-/// `bias + Σⱼ w[j]·relu(panel[j])` reduction).
+/// at depth 1, layer 2's first unit of degree `i` deeper), so the panel
+/// is touched in one memory pass per bit.
+///
+/// Deeper units are computed once each, on a degree schedule: at bit
+/// `i`, layer by layer, only the units of degree exactly `i`
+/// ([`Made::units_of_degree`]; `w_prev = None` makes the kernel a pure
+/// `bias + Σⱼ w[j]·relu(panel[j])` reduction).  A layer-ℓ ≥ 2 unit of
+/// degree `m` reads only inputs `< m`, so its value is final once bit
+/// `m−1` is drawn, and nothing reads it before bit `m` (output `i` uses
+/// only units of degree `≤ i`).  Past layer 2's top degree no bit
+/// computes a layer-2 unit, panel 1 is never read again, and its
+/// update is skipped (degrees are contiguous from 1, pinned in
+/// `masks`).  This is bit-identical to recomputing every unit at every
+/// bit, for finite parameters: the kernel adds each masked term as
+/// `fma(±0, relu(z) ≥ +0, acc)` with `acc` starting at `+0`, which
+/// leaves `acc` unchanged, so a unit's bits never depend on the units
+/// its mask hides — whether those are stale, fresh, or still the zero
+/// fill of a not-yet-computed unit.  A non-finite parameter breaks the
+/// argument (`0 · ∞` is NaN) and with it the identity.
 ///
 /// The kernel reproduces `relu_dot`'s per-row accumulation order at
 /// any panel width (property-tested in `vqmc-tensor`), the batch is
@@ -407,8 +422,10 @@ impl<E: PanelElem> Panels<E> {
             )
         };
         // Stripe-blocked layer-1 panel init: every stripe's panel rows
-        // start at b₁.  Deeper panels are fully overwritten every bit,
-        // so their fill value is never read.
+        // start at b₁.  Deeper panels must be zero-filled: a deeper unit
+        // is written only at the bit of its degree, but kernel calls
+        // read the whole panel before that, through exact-zero masked
+        // weights — the zero keeps those terms finite (`0 · 0`).
         z.clear();
         z.reserve(total);
         for w in 0..parts {
@@ -485,22 +502,26 @@ impl<E: PanelElem> Panels<E> {
                     let mask_s = from_raw_parts_mut(pmask.get().add(start), bw);
                     let bits_s = from_raw_parts_mut(pbits.get().add(start), bw);
                     let signed_s = from_raw_parts_mut(psigned.get().add(start), bw);
-                    // Hidden layer l ≥ 2: one fused reduction per unit
-                    // over panel l−1 into panel l.  Bit i−1's deferred
-                    // W₁-column update rides the first call that reads
-                    // panel 1: layer 2's unit 0 here, or the output
-                    // call below at depth 1.
+                    // Hidden layer l ≥ 2: one fused reduction over panel
+                    // l−1 into panel l for each unit of degree i.  Bit
+                    // i−1's deferred W₁-column update rides the first
+                    // call that reads panel 1: layer 2's first unit of
+                    // degree i here (none past its top degree, when
+                    // panel 1 is dead), or the output call below at
+                    // depth 1.
+                    let mut pending = w_prev;
                     for l in 1..depth {
                         let hs = hidden[l - 1];
                         let src =
                             from_raw_parts_mut(pz.get().add(off[l - 1] + hs * start), hs * bw);
                         let dst = pz.get().add(off[l] + hidden[l] * start);
-                        for (k, &bk) in E::bias(weights, wf, l).iter().enumerate() {
+                        let bias = E::bias(weights, wf, l);
+                        for &k in wf.units_of_degree(l, i) {
                             let out_row = from_raw_parts_mut(dst.add(k * bw), bw);
-                            let wp = if l == 1 && k == 0 { w_prev } else { None };
+                            let wp = if l == 1 { pending.take() } else { None };
                             E::land(out_row, dlog_s, |out| {
                                 let w_row = E::w_row(weights, wf, l, k);
-                                step(src, bw, wp, mask_s, w_row, bk.into(), scratch_s, out)
+                                step(src, bw, wp, mask_s, w_row, bias[k].into(), scratch_s, out)
                             });
                         }
                     }
