@@ -941,12 +941,12 @@ mod tests {
             for (l, deg) in degrees.iter().enumerate() {
                 let mut seen = vec![0usize; deg.len()];
                 for d in 0..=n {
-                    for &k in wf.units_of_degree(l, d) {
+                    let of_d = wf.units_of_degree(l, d);
+                    assert!(of_d.windows(2).all(|p| p[0] < p[1]), "ascending");
+                    for &k in of_d {
                         assert_eq!(deg[k], d, "n={n} layer {l} unit {k}");
                         seen[k] += 1;
                     }
-                    let of_d = wf.units_of_degree(l, d);
-                    assert!(of_d.windows(2).all(|p| p[0] < p[1]), "ascending");
                 }
                 assert!(seen.iter().all(|&c| c == 1), "n={n} layer {l}: {seen:?}");
             }
