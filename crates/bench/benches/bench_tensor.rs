@@ -13,6 +13,11 @@ use std::hint::black_box;
 use vqmc_tensor::vector::dot;
 use vqmc_tensor::{gemm, ops, par, simd, Matrix};
 
+/// An in-place f64 slice kernel.
+type SliceFn = fn(&mut [f64]);
+/// An in-place f32 slice kernel.
+type SliceFn32 = fn(&mut [f32]);
+
 fn mat(rows: usize, cols: usize, seed: u64) -> Matrix {
     let mut state = seed | 1;
     Matrix::from_fn(rows, cols, |_, _| {
@@ -118,7 +123,7 @@ fn bench_ops_slice(c: &mut Criterion) {
     let prod = simd::kernels();
     let port = simd::portable_kernels();
     let mut group = c.benchmark_group("ops_slice");
-    let kernels: [(&str, fn(&mut [f64]), fn(&mut [f64])); 4] = [
+    let kernels: [(&str, SliceFn, SliceFn); 4] = [
         ("sigmoid_4096", prod.sigmoid_slice, port.sigmoid_slice),
         ("ln_cosh_4096", prod.ln_cosh_slice, port.ln_cosh_slice),
         ("log_sigmoid_4096", prod.log_sigmoid_slice, port.log_sigmoid_slice),
@@ -184,7 +189,7 @@ fn bench_ops_slice_f32(c: &mut Criterion) {
     let k64 = simd::kernels();
     let k32 = simd::kernels_f32();
     let mut group = c.benchmark_group("ops_slice_f32");
-    let pairs: [(&str, fn(&mut [f32]), fn(&mut [f64])); 3] = [
+    let pairs: [(&str, SliceFn32, SliceFn); 3] = [
         ("sigmoid_4096", k32.sigmoid_slice, k64.sigmoid_slice),
         ("log_sigmoid_4096", k32.log_sigmoid_slice, k64.log_sigmoid_slice),
         ("exp_4096", k32.exp_slice, k64.exp_slice),

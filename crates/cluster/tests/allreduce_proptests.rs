@@ -71,7 +71,7 @@ fn rank_inputs(l: usize, len: usize, seed: u64) -> Vec<Vec<f64>> {
 
 /// Every `nodes × devices_per_node` factorisation of `l`.
 fn factorisations(l: usize) -> Vec<(usize, usize)> {
-    (1..=l).filter(|d| l % d == 0).map(|d| (d, l / d)).collect()
+    (1..=l).filter(|&d| l.is_multiple_of(d)).map(|d| (d, l / d)).collect()
 }
 
 fn as_vectors(inputs: &[Vec<f64>]) -> Vec<Vector> {
@@ -120,7 +120,7 @@ fn odd_device_counts_are_deterministic() {
         let topo = Topology::new(1, l);
         let (a, ca) = allreduce_mean_tree(as_vectors(&inputs), &topo);
         let (b, cb) = allreduce_mean_tree(as_vectors(&inputs), &topo);
-        assert_bits_eq(&a, &b.as_slice(), &format!("L={l} rerun"));
+        assert_bits_eq(&a, b.as_slice(), &format!("L={l} rerun"));
         assert_eq!(ca.to_bits(), cb.to_bits(), "L={l}: comm time rerun");
     }
 }

@@ -44,16 +44,15 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use vqmc_cluster::{allreduce_mean_tree, Cluster, Topology};
-use vqmc_hamiltonian::{
-    local_energies_flip_into, LocalEnergyConfig, LocalEnergyScratch, SparseRowHamiltonian,
-};
+use vqmc_hamiltonian::{LocalEnergyConfig, LocalEnergyScratch, SparseRowHamiltonian};
 use vqmc_nn::WaveFunction;
 use vqmc_optim::Optimizer;
 use vqmc_sampler::{SampleOutput, SampleStats, Sampler};
-use vqmc_tensor::{Matrix, SpinBatch, Vector, Workspace};
+use vqmc_tensor::{Vector, Workspace};
 
 use crate::backend::{Collective, CollectiveError};
 use crate::cost;
+use crate::estimator::local_energies_into;
 use crate::trainer::{IterationRecord, OptimizerChoice, TrainingTrace};
 
 /// Configuration for a distributed run.
@@ -109,7 +108,7 @@ where
         DeviceState {
             wf: wf.clone(),
             rng: StdRng::seed_from_u64(crate::derive_seed(config.seed, rank as u64, 1)),
-            opt: make_optimizer(config.optimizer),
+            opt: config.optimizer.build(),
             sampler: sampler.clone(),
             out: SampleOutput::default(),
             local: Vector::default(),
@@ -337,11 +336,7 @@ where
         ..
     } = st;
     sampler.sample_into(wf, mbs, rng, out);
-    let wf_ref: &W = wf;
-    let mut eval = |b: &SpinBatch, flips: &[usize], dst: &mut Matrix| {
-        wf_ref.flip_log_psi_into(b, flips, ws, dst)
-    };
-    local_energies_flip_into(h, &out.batch, &out.log_psi, &mut eval, le_cfg, le, local);
+    local_energies_into(wf, h, out, le_cfg, ws, le, local);
     let sum: f64 = local.sum();
     let sum_sq: f64 = local.iter().map(|l| l * l).sum();
     let min = local.min();
@@ -547,17 +542,6 @@ where
         wall_secs: start.elapsed().as_secs_f64(),
         sample_stats: agg_stats,
     })
-}
-
-fn make_optimizer(choice: OptimizerChoice) -> Box<dyn Optimizer> {
-    match choice {
-        OptimizerChoice::Sgd { lr } => Box::new(vqmc_optim::Sgd::new(lr)),
-        OptimizerChoice::Adam { lr } => Box::new(vqmc_optim::Adam::new(lr)),
-        // SR in the distributed path would need the per-sample rows of
-        // the *global* batch; the paper's scaling experiments use Adam,
-        // and SR stays a single-device feature (Table 2).
-        OptimizerChoice::SgdSr { lr, .. } => Box::new(vqmc_optim::Sgd::new(lr)),
-    }
 }
 
 #[cfg(test)]

@@ -1,7 +1,11 @@
 //! Monte-Carlo estimators (paper Eqs. 3–5).
 
+use vqmc_hamiltonian::{
+    local_energies_flip_into, LocalEnergyConfig, LocalEnergyScratch, SparseRowHamiltonian,
+};
 use vqmc_nn::WaveFunction;
-use vqmc_tensor::{SpinBatch, Vector, Workspace};
+use vqmc_sampler::SampleOutput;
+use vqmc_tensor::{Matrix, SpinBatch, Vector, Workspace};
 
 /// Summary statistics of a local-energy batch.
 #[derive(Clone, Debug)]
@@ -69,6 +73,25 @@ pub fn energy_gradient_into(
         weights[s] = 2.0 * (local[s] - mean_energy) / bs as f64;
     }
     wf.weighted_log_psi_grad_into(batch, weights, ws, out);
+}
+
+/// Local energies `l(x)` (Eq. 3) of a sampled batch into `out`, each
+/// sample's neighbour `logψ` from the wavefunction's flip pass
+/// ([`WaveFunction::flip_log_psi_into`]) — the one measurement call
+/// every trainer makes.
+pub(crate) fn local_energies_into(
+    wf: &dyn WaveFunction,
+    h: &dyn SparseRowHamiltonian,
+    sample: &SampleOutput,
+    cfg: LocalEnergyConfig,
+    ws: &mut Workspace,
+    le: &mut LocalEnergyScratch,
+    out: &mut Vector,
+) {
+    let mut eval = |b: &SpinBatch, flips: &[usize], dst: &mut Matrix| {
+        wf.flip_log_psi_into(b, flips, ws, dst)
+    };
+    local_energies_flip_into(h, &sample.batch, &sample.log_psi, &mut eval, cfg, le, out);
 }
 
 #[cfg(test)]

@@ -6,9 +6,12 @@
 //! * [`estimator`] — the Monte-Carlo estimators of the paper's Eqs. 3–5:
 //!   local-energy statistics (mean, the zero-variance diagnostic) and
 //!   the baseline-subtracted energy gradient;
-//! * [`trainer`] — the single-device training loop (sample → measure →
-//!   gradient → update), producing the per-iteration
-//!   [`trainer::TrainingTrace`] behind Figure 2 and Tables 1–5;
+//! * [`trainer`] — the training loop (sample → measure → gradient →
+//!   update), producing the per-iteration [`trainer::TrainingTrace`]
+//!   behind Figure 2 and Tables 1–5; in one process or over a
+//!   [`backend::Collective`] with replicated sampling and sharded
+//!   measurement, the mode that reproduces the single-process golden
+//!   trace at any `--ranks`;
 //! * [`distributed`] — data-parallel training on the
 //!   [`vqmc_cluster::Cluster`]: per-device replicas, local sampling,
 //!   deterministic gradient allreduce, bit-identical replica updates
@@ -17,9 +20,6 @@
 //! * [`backend`] — the [`backend::Collective`] seam the distributed
 //!   trainers communicate through: world-size-1, in-process thread
 //!   rendezvous (the oracle), or the real-socket mesh of `vqmc-dist`;
-//! * [`sharded`] — rank-count-invariant multi-process training
-//!   (replicated sampling, sharded measurement): the mode that
-//!   reproduces the single-process golden trace at any `--ranks`;
 //! * [`hitting`] — the time-to-target harness of Table 5;
 //! * [`cost`] — the flop/byte accounting that drives the modelled
 //!   cluster clock (see `vqmc-cluster` for why modelled time, not
@@ -32,18 +32,16 @@ pub mod cost;
 pub mod distributed;
 pub mod estimator;
 pub mod hitting;
-pub mod model_parallel;
 pub mod observables;
-pub mod sharded;
 pub mod trainer;
 
 pub use backend::{Collective, CollectiveError, SoloCollective, ThreadMesh};
 pub use distributed::{DistributedConfig, DistributedTrainer};
-pub use sharded::{shard_bounds, ShardedTrainer};
 pub use estimator::{energy_gradient, EnergyStats};
 pub use hitting::{hitting_time, HittingConfig, HittingResult};
 pub use trainer::{
-    EvalResult, IterationRecord, OptimizerChoice, Trainer, TrainerConfig, TrainingTrace,
+    shard_bounds, EvalResult, IterationRecord, OptimizerChoice, Trainer, TrainerConfig,
+    TrainingTrace,
 };
 
 /// Derives a per-(device, purpose) RNG seed from a master seed.

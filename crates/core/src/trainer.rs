@@ -1,4 +1,4 @@
-//! The single-device VQMC training loop.
+//! The VQMC training loop, on one process or replicated over ranks.
 //!
 //! One iteration is the paper's Figure 1 right-hand side:
 //!
@@ -11,20 +11,44 @@
 //! Every iteration is recorded — energy, the zero-variance diagnostic,
 //! wall-clock and sampler cost — which is exactly the data behind the
 //! paper's Figure 2 training curves and the timing tables.
+//!
+//! The same step runs over any [`Collective`] (the mode behind
+//! `vqmc-cli train --ranks N`) and keeps the single-process numerics at
+//! every world size:
+//!
+//! * **Sampling is replicated.**  Every rank samples the full batch
+//!   from the same RNG stream (`derive_seed(seed, 0, 0)`), so every
+//!   rank holds identical batches.
+//! * **Measurement is sharded.**  Local energies are the dominant cost
+//!   (`n` neighbour evaluations per sample for TIM vs the sampler's one
+//!   pass); each rank measures only its contiguous row shard
+//!   ([`shard_bounds`]).  A sample's local energy depends only on its
+//!   own row, so a shard equals the same slice of the full-batch result
+//!   (`shard_slices_match_full_batch` below).  The shards are
+//!   allgathered and reassembled in rank order.  At world 1 the shard
+//!   is the whole batch: no row is copied and no collective is called.
+//! * **Statistics, gradient and update are replicated** on the
+//!   bit-identical full local-energy vector.
+//!
+//! So [`Trainer::step_over`] on a thread or socket mesh of any size
+//! produces the byte sequence of [`Trainer::step`], which is what lets
+//! the golden trace (-10.555253) be asserted under `--ranks ∈ {1,2,4}`.
+//! The data-parallel [`crate::DistributedTrainer`] is a different
+//! algorithm: per-rank RNG streams and minibatches, so its trajectory
+//! depends on the device count.
 
 use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use vqmc_hamiltonian::{
-    local_energies_flip_into, LocalEnergyConfig, LocalEnergyScratch, SparseRowHamiltonian,
-};
+use vqmc_hamiltonian::{LocalEnergyConfig, LocalEnergyScratch, SparseRowHamiltonian};
 use vqmc_nn::WaveFunction;
 use vqmc_optim::{Adam, Optimizer, Sgd, SrConfig, SrScratch, StochasticReconfiguration};
 use vqmc_sampler::{SampleOutput, SampleStats, Sampler};
 use vqmc_tensor::{Matrix, SpinBatch, Vector, Workspace};
 
-use crate::estimator::{energy_gradient_into, EnergyStats};
+use crate::backend::{Collective, CollectiveError, SoloCollective};
+use crate::estimator::{energy_gradient_into, local_energies_into, EnergyStats};
 
 /// Which optimiser drives the update (paper §5.1 settings as defaults).
 #[derive(Clone, Copy, Debug)]
@@ -69,6 +93,21 @@ impl OptimizerChoice {
             OptimizerChoice::Sgd { .. } => "SGD",
             OptimizerChoice::Adam { .. } => "ADAM",
             OptimizerChoice::SgdSr { .. } => "SGD+SR",
+        }
+    }
+
+    /// Builds the base optimiser.  SR's base step is SGD (the paper):
+    /// [`Trainer`] preconditions the gradient with SR before that step.
+    /// [`crate::DistributedTrainer`] runs SGD+SR as plain SGD — SR there
+    /// would need the per-sample rows of the *global* batch; the paper's
+    /// scaling experiments use Adam, and SR stays a replicated-sampling
+    /// feature (Table 2).
+    pub fn build(&self) -> Box<dyn Optimizer> {
+        match *self {
+            OptimizerChoice::Sgd { lr } | OptimizerChoice::SgdSr { lr, .. } => {
+                Box::new(Sgd::new(lr))
+            }
+            OptimizerChoice::Adam { lr } => Box::new(Adam::new(lr)),
         }
     }
 }
@@ -150,6 +189,19 @@ pub struct EvalResult {
     pub batch: SpinBatch,
 }
 
+/// Contiguous row shard of a `total`-row batch owned by `rank`: the
+/// first `total % world` ranks take one extra row.  Shards tile the
+/// batch in rank order, which is the reassembly order after the
+/// allgather.
+pub fn shard_bounds(total: usize, world: usize, rank: usize) -> (usize, usize) {
+    assert!(rank < world, "rank {rank} out of world {world}");
+    let base = total / world;
+    let extra = total % world;
+    let lo = rank * base + rank.min(extra);
+    let hi = lo + base + usize::from(rank < extra);
+    (lo, hi)
+}
+
 /// Every buffer one training iteration needs, owned across iterations
 /// so that [`Trainer::step`] performs **zero heap allocations** once the
 /// shapes are warm (two iterations suffice; verified by the
@@ -160,7 +212,11 @@ struct TrainerScratch {
     ws: Workspace,
     /// The sampled batch and its `logψ`.
     sample_out: SampleOutput,
-    /// Local energies `l(x)` per sample.
+    /// This rank's rows of the sampled batch and their `logψ` (world > 1).
+    shard: SampleOutput,
+    /// Local energies of the shard (world > 1).
+    shard_local: Vector,
+    /// Local energies `l(x)` per sample of the full batch.
     local: Vector,
     /// Local-energy engine scratch (work items, neighbour batch).
     le: LocalEnergyScratch,
@@ -178,7 +234,8 @@ struct TrainerScratch {
     direction: Vector,
 }
 
-/// The single-device VQMC trainer.
+/// The VQMC trainer.  Over a collective, one instance per rank; all
+/// ranks must be constructed with identical `(wf, sampler, config)`.
 pub struct Trainer<W, S> {
     wf: W,
     sampler: S,
@@ -187,12 +244,22 @@ pub struct Trainer<W, S> {
     scratch: TrainerScratch,
 }
 
+/// Unwraps the result of a world-1 run, which calls no collective.
+fn solo<T>(r: Result<T, CollectiveError>) -> T {
+    match r {
+        Ok(v) => v,
+        Err(e) => unreachable!("a world-1 step calls no collective: {e}"),
+    }
+}
+
 impl<W, S> Trainer<W, S>
 where
     W: WaveFunction,
     S: Sampler<W>,
 {
-    /// Creates a trainer owning the wavefunction and sampler.
+    /// Creates a trainer owning the wavefunction and sampler.  The RNG
+    /// is the single-process stream (`derive_seed(seed, 0, 0)`) on every
+    /// rank — replicated sampling depends on it.
     pub fn new(wf: W, sampler: S, config: TrainerConfig) -> Self {
         let rng = StdRng::seed_from_u64(crate::derive_seed(config.seed, 0, 0));
         Trainer {
@@ -219,15 +286,35 @@ where
         &self.config
     }
 
-    /// Runs one training iteration, returning its record.
+    /// Runs one training iteration in this process, returning its
+    /// record.
     ///
-    /// Every intermediate lives in [`TrainerScratch`]; once buffer shapes
-    /// are warm (two iterations) a step performs no heap allocation.
+    /// Every intermediate lives in the trainer's reused scratch buffers;
+    /// once buffer shapes are warm (two iterations) a step performs no
+    /// heap allocation.
     pub fn step(&mut self, h: &dyn SparseRowHamiltonian, opt: &mut dyn Optimizer) -> IterationRecord {
+        solo(self.step_over(h, &mut SoloCollective, opt))
+    }
+
+    /// Runs one training iteration as one rank of `coll` (see the module
+    /// docs).  On any collective error the model parameters are
+    /// untouched — the only collective runs strictly before the
+    /// optimiser step — so a surviving rank reports a clean
+    /// [`CollectiveError`] without having applied a partial update.
+    pub fn step_over(
+        &mut self,
+        h: &dyn SparseRowHamiltonian,
+        coll: &mut dyn Collective,
+        opt: &mut dyn Optimizer,
+    ) -> Result<IterationRecord, CollectiveError> {
         let start = Instant::now();
+        let bs = self.config.batch_size;
+        let le_cfg = self.config.local_energy;
         let TrainerScratch {
             ws,
             sample_out,
+            shard,
+            shard_local,
             local,
             le,
             weights,
@@ -237,24 +324,49 @@ where
             sr,
             direction,
         } = &mut self.scratch;
-        self.sampler
-            .sample_into(&self.wf, self.config.batch_size, &mut self.rng, sample_out);
-        let wf = &self.wf;
-        let mut eval = |b: &SpinBatch, flips: &[usize], out: &mut Matrix| {
-            wf.flip_log_psi_into(b, flips, ws, out)
-        };
-        local_energies_flip_into(
-            h,
-            &sample_out.batch,
-            &sample_out.log_psi,
-            &mut eval,
-            self.config.local_energy,
-            le,
-            local,
-        );
+
+        // 1. Replicated sampling: the full batch, the same stream on
+        // every rank.
+        self.sampler.sample_into(&self.wf, bs, &mut self.rng, sample_out);
+
+        // 2. Measurement: the whole batch at world 1; otherwise this
+        // rank's shard, allgathered and reassembled in rank order.
+        let world = coll.world();
+        if world == 1 {
+            local_energies_into(&self.wf, h, sample_out, le_cfg, ws, le, local);
+        } else {
+            let (lo, hi) = shard_bounds(bs, world, coll.rank());
+            if hi > lo {
+                sample_out.batch.copy_rows_into(lo..hi, &mut shard.batch);
+                shard.log_psi.resize(hi - lo);
+                shard
+                    .log_psi
+                    .as_mut_slice()
+                    .copy_from_slice(&sample_out.log_psi.as_slice()[lo..hi]);
+                local_energies_into(&self.wf, h, shard, le_cfg, ws, le, shard_local);
+            } else {
+                // More ranks than samples: this rank measures nothing but
+                // still takes part in the collective.
+                shard_local.resize(0);
+            }
+            let gathered = coll.allgather(shard_local)?;
+            local.resize(bs);
+            for (r, part) in gathered.iter().enumerate() {
+                let (rlo, rhi) = shard_bounds(bs, world, r);
+                if part.len() != rhi - rlo {
+                    return Err(CollectiveError::Protocol(format!(
+                        "rank {r} gathered {} local energies, expected {}",
+                        part.len(),
+                        rhi - rlo
+                    )));
+                }
+                local.as_mut_slice()[rlo..rhi].copy_from_slice(part.as_slice());
+            }
+        }
+
+        // 3–4. Replicated statistics, gradient and update.
         let stats = EnergyStats::from_local_energies(local);
         energy_gradient_into(&self.wf, &sample_out.batch, local, stats.mean, ws, weights, grad);
-
         let update: &Vector = match self.config.optimizer {
             OptimizerChoice::SgdSr { sr: sr_cfg, .. } => {
                 self.wf
@@ -269,37 +381,43 @@ where
         opt.step(params, update);
         self.wf.set_params(params);
 
-        IterationRecord {
+        Ok(IterationRecord {
             energy: stats.mean,
             std_dev: stats.std_dev,
             min_energy: stats.min,
             wall_secs: start.elapsed().as_secs_f64(),
             sample_stats: sample_out.stats,
-        }
+        })
     }
 
-    /// Runs the configured number of iterations.
+    /// Runs the configured number of iterations in this process.
     pub fn run(&mut self, h: &dyn SparseRowHamiltonian) -> TrainingTrace {
+        solo(self.run_over(h, &mut SoloCollective))
+    }
+
+    /// Runs the configured number of iterations as one rank of `coll`.
+    /// Stops at the first collective failure with no partial update
+    /// applied.
+    pub fn run_over(
+        &mut self,
+        h: &dyn SparseRowHamiltonian,
+        coll: &mut dyn Collective,
+    ) -> Result<TrainingTrace, CollectiveError> {
         let mut opt = self.make_optimizer();
         let start = Instant::now();
         let mut records = Vec::with_capacity(self.config.iterations);
         for _ in 0..self.config.iterations {
-            records.push(self.step(h, opt.as_mut()));
+            records.push(self.step_over(h, coll, opt.as_mut())?);
         }
-        TrainingTrace {
+        Ok(TrainingTrace {
             records,
             total_secs: start.elapsed().as_secs_f64(),
-        }
+        })
     }
 
-    /// Builds the configured base optimiser (SR preconditions inside
-    /// [`Trainer::step`]; its base step is SGD per the paper).
+    /// Builds the configured base optimiser ([`OptimizerChoice::build`]).
     pub fn make_optimizer(&self) -> Box<dyn Optimizer> {
-        match self.config.optimizer {
-            OptimizerChoice::Sgd { lr } => Box::new(Sgd::new(lr)),
-            OptimizerChoice::Adam { lr } => Box::new(Adam::new(lr)),
-            OptimizerChoice::SgdSr { lr, .. } => Box::new(Sgd::new(lr)),
-        }
+        self.config.optimizer.build()
     }
 
     /// Draws a fresh evaluation batch from the trained model and
@@ -311,19 +429,7 @@ where
     ) -> EvalResult {
         let out = self.sampler.sample(&self.wf, eval_batch_size, &mut self.rng);
         let TrainerScratch { ws, le, local, .. } = &mut self.scratch;
-        let wf = &self.wf;
-        let mut eval = |b: &SpinBatch, flips: &[usize], dst: &mut Matrix| {
-            wf.flip_log_psi_into(b, flips, ws, dst)
-        };
-        local_energies_flip_into(
-            h,
-            &out.batch,
-            &out.log_psi,
-            &mut eval,
-            self.config.local_energy,
-            le,
-            local,
-        );
+        local_energies_into(&self.wf, h, &out, self.config.local_energy, ws, le, local);
         EvalResult {
             stats: EnergyStats::from_local_energies(local),
             batch: out.batch,
@@ -336,7 +442,7 @@ mod tests {
     use super::*;
     use vqmc_hamiltonian::{ground_state, MaxCut, TransverseFieldIsing};
     use vqmc_nn::{Made, Rbm};
-    use vqmc_sampler::{AutoSampler, McmcSampler, RbmFastMcmc};
+    use vqmc_sampler::{AutoSampler, IncrementalAutoSampler, McmcSampler, RbmFastMcmc};
 
     fn small_config(iters: usize, bs: usize, opt: OptimizerChoice, seed: u64) -> TrainerConfig {
         TrainerConfig {
@@ -531,6 +637,123 @@ mod tests {
                     bits(full.wavefunction().params()),
                     "hidden {hidden:?} chunk {chunk_rows}: final parameters"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn shard_bounds_tile_the_batch() {
+        for &(total, world) in &[(128usize, 1usize), (128, 2), (128, 3), (7, 4), (3, 5), (0, 2)] {
+            let mut next = 0;
+            for rank in 0..world {
+                let (lo, hi) = shard_bounds(total, world, rank);
+                assert_eq!(lo, next, "total {total}, world {world}, rank {rank}");
+                assert!(hi >= lo);
+                next = hi;
+            }
+            assert_eq!(next, total, "shards must cover the batch exactly");
+            // Balanced: sizes differ by at most one row.
+            let sizes: Vec<usize> = (0..world)
+                .map(|r| {
+                    let (lo, hi) = shard_bounds(total, world, r);
+                    hi - lo
+                })
+                .collect();
+            let (min, max) = (
+                *sizes.iter().min().unwrap(),
+                *sizes.iter().max().unwrap(),
+            );
+            assert!(max - min <= 1, "{sizes:?}");
+        }
+    }
+
+    /// The design-carrying property of sharded measurement: per-sample
+    /// local energies are invariant to batch composition, so a shard's
+    /// result equals the same slice of the full-batch result, bit for
+    /// bit.
+    #[test]
+    fn shard_slices_match_full_batch() {
+        let n = 8;
+        let bs = 37;
+        let h = TransverseFieldIsing::random(n, 5);
+        let wf = Made::new(n, 12, 9);
+        let mut rng = StdRng::seed_from_u64(1234);
+        let out = IncrementalAutoSampler::new().sample(&wf, bs, &mut rng);
+        let measure = |sample: &SampleOutput| {
+            let mut local = Vector::default();
+            let cfg = LocalEnergyConfig::default();
+            let (mut ws, mut le) = (Workspace::default(), LocalEnergyScratch::default());
+            local_energies_into(&wf, &h, sample, cfg, &mut ws, &mut le, &mut local);
+            local
+        };
+        let full = measure(&out);
+
+        for world in [2usize, 3, 5] {
+            for rank in 0..world {
+                let (lo, hi) = shard_bounds(bs, world, rank);
+                let mut shard = SampleOutput::default();
+                out.batch.copy_rows_into(lo..hi, &mut shard.batch);
+                shard.log_psi = Vector(out.log_psi.as_slice()[lo..hi].to_vec());
+                assert_eq!(
+                    measure(&shard).as_slice(),
+                    &full.as_slice()[lo..hi],
+                    "world {world}, rank {rank}: shard not bit-identical to full-batch slice"
+                );
+            }
+        }
+    }
+
+    /// `step_over` on a thread mesh of any world size reproduces the
+    /// in-process `run` bit for bit — energies, spreads, minima and
+    /// final parameters on every rank — for Adam and SGD+SR at depth 1
+    /// and for a depth-2 stack.  World 1 takes the no-collective path;
+    /// 3 ranks exercise the non-power-of-two tree and a ragged shard
+    /// split (50 = 17 + 17 + 16).
+    #[test]
+    fn thread_mesh_matches_plain_trainer_bitwise_any_world() {
+        use crate::backend::ThreadMesh;
+        use std::time::Duration;
+
+        let n = 7;
+        let h = TransverseFieldIsing::random(n, 17);
+        let cases = [
+            (vec![10usize], OptimizerChoice::paper_default()),
+            (vec![10], OptimizerChoice::paper_sr()),
+            (vec![10, 6], OptimizerChoice::paper_default()),
+        ];
+        let bits = |r: &IterationRecord| [r.energy, r.std_dev, r.min_energy].map(f64::to_bits);
+        for (hidden, opt) in cases {
+            let cfg = small_config(6, 50, opt, 3);
+            let made = Made::with_hidden(n, &hidden, 4);
+            let mut plain = Trainer::new(made.clone(), IncrementalAutoSampler::new(), cfg);
+            let reference = plain.run(&h);
+            let ref_params = plain.into_wavefunction().params();
+
+            for world in [1usize, 2, 3, 4] {
+                let handles: Vec<_> = ThreadMesh::split(world, Duration::from_secs(30))
+                    .into_iter()
+                    .map(|mut mesh| {
+                        let (h, made) = (h.clone(), made.clone());
+                        std::thread::spawn(move || {
+                            let mut t = Trainer::new(made, IncrementalAutoSampler::new(), cfg);
+                            let trace = t.run_over(&h, &mut mesh).unwrap();
+                            (trace, t.into_wavefunction().params())
+                        })
+                    })
+                    .collect();
+                for (rank, handle) in handles.into_iter().enumerate() {
+                    let tag = format!("{hidden:?} {} world {world} rank {rank}", opt.label());
+                    let (trace, params) = handle.join().unwrap();
+                    assert_eq!(trace.records.len(), reference.records.len(), "{tag}");
+                    for (i, (a, b)) in reference.records.iter().zip(&trace.records).enumerate() {
+                        assert_eq!(bits(a), bits(b), "{tag} iter {i}");
+                    }
+                    assert_eq!(
+                        ref_params.as_slice(),
+                        params.as_slice(),
+                        "{tag}: parameters diverged"
+                    );
+                }
             }
         }
     }

@@ -30,6 +30,9 @@ fn read_reply(stream: &mut TcpStream) -> Vec<u8> {
     payload
 }
 
+/// Frames deferred to the completion worker, with their tickets.
+type Deferred = Arc<Mutex<Vec<(Ticket, Vec<u8>)>>>;
+
 /// Echoes every frame back, optionally via a worker thread that delays
 /// and reorders completions.
 struct TestHandler {
@@ -37,7 +40,7 @@ struct TestHandler {
     accepts: Arc<AtomicUsize>,
     closes: Arc<AtomicUsize>,
     /// `Some` → defer every frame to this worker-feeding queue.
-    defer: Option<Arc<Mutex<Vec<(Ticket, Vec<u8>)>>>>,
+    defer: Option<Deferred>,
 }
 
 impl FrameHandler for TestHandler {
@@ -74,7 +77,7 @@ struct Fixture {
     accepts: Arc<AtomicUsize>,
     closes: Arc<AtomicUsize>,
     completions: Arc<Completions>,
-    deferred: Option<Arc<Mutex<Vec<(Ticket, Vec<u8>)>>>>,
+    deferred: Option<Deferred>,
     loop_thread: thread::JoinHandle<std::io::Result<()>>,
 }
 

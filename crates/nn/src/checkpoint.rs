@@ -447,6 +447,9 @@ mod tests {
     use super::*;
     use vqmc_tensor::batch::enumerate_configs;
 
+    /// Writes one checkpoint file to the given path.
+    type Saver = Box<dyn Fn(&std::path::Path)>;
+
     fn tmp(name: &str) -> std::path::PathBuf {
         let mut p = std::env::temp_dir();
         p.push(format!("vqmc-ckpt-test-{}-{name}", std::process::id()));
@@ -589,7 +592,7 @@ mod tests {
     #[test]
     fn load_any_dispatches_on_kind_tag() {
         let path = tmp("any");
-        let savers: Vec<(Box<dyn Fn(&std::path::Path)>, &str)> = vec![
+        let savers: Vec<(Saver, &str)> = vec![
             (
                 Box::new(|p: &std::path::Path| Made::new(5, 8, 2).save(p).unwrap()),
                 "made",
@@ -730,7 +733,7 @@ mod tests {
         // panic) from both the typed and any-kind loaders — for a
         // depth-1 v2 file, a depth-2 v3 file, and an f32-storage file.
         let path = tmp("cuts");
-        let make_files: Vec<Box<dyn Fn(&std::path::Path)>> = vec![
+        let make_files: Vec<Saver> = vec![
             Box::new(|p: &std::path::Path| Made::new(4, 5, 1).save(p).unwrap()),
             Box::new(|p: &std::path::Path| {
                 Made::with_hidden(4, &[5, 3], 1).save(p).unwrap()

@@ -367,29 +367,9 @@ impl Made {
         &self.layers[0].w
     }
 
-    /// First-layer bias (`h₁`).
-    pub fn b1(&self) -> &Vector {
-        &self.layers[0].b
-    }
-
-    /// Masked output-layer weights (`n × h_D`).
-    pub fn w2(&self) -> &Matrix {
-        &self.layers[self.layers.len() - 1].w
-    }
-
     /// Output-layer bias (`n`).
     pub fn b2(&self) -> &Vector {
         &self.layers[self.layers.len() - 1].b
-    }
-
-    /// The input mask `M¹` (tests / diagnostics).
-    pub fn mask1(&self) -> &Matrix {
-        &self.layers[0].mask
-    }
-
-    /// The output mask `M²` (tests / diagnostics).
-    pub fn mask2(&self) -> &Matrix {
-        &self.layers[self.layers.len() - 1].mask
     }
 
     /// Forward pass into `ws` (fills `ws.x`, the per-layer

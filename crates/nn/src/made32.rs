@@ -340,8 +340,8 @@ mod tests {
         let m32 = MadeF32::for_sampling(&made);
         for i in 0..7 {
             let row = m32.w1t_row(i);
-            for j in 0..11 {
-                assert_eq!(row[j], made.w1().get(j, i) as f32);
+            for (j, &w) in row[..11].iter().enumerate() {
+                assert_eq!(w, made.w1().get(j, i) as f32);
             }
         }
     }
@@ -355,8 +355,8 @@ mod tests {
         for (l, layer) in made.layers().iter().enumerate().skip(1) {
             for i in 0..layer.out_dim() {
                 let row = m32.layer_w_row(l, i);
-                for j in 0..layer.in_dim() {
-                    assert_eq!(row[j], layer.w().get(i, j) as f32, "layer {l} ({i},{j})");
+                for (j, &w) in row[..layer.in_dim()].iter().enumerate() {
+                    assert_eq!(w, layer.w().get(i, j) as f32, "layer {l} ({i},{j})");
                 }
             }
         }

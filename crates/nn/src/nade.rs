@@ -378,7 +378,7 @@ mod tests {
         let probs: Vec<f64> = m.log_prob(&all).iter().map(|l| l.exp()).collect();
         let draws = 40_000;
         let (batch, _) = m.sample_native(draws, &mut StdRng::seed_from_u64(3));
-        let mut counts = vec![0usize; 16];
+        let mut counts = [0usize; 16];
         for s in batch.samples() {
             counts[encode_config(s)] += 1;
         }

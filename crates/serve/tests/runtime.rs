@@ -337,10 +337,10 @@ fn pipelined_requests_reply_in_order() {
     stream.flush().unwrap();
 
     let mut frame = Vec::new();
-    for r in 0..k {
+    for (r, expected) in solo.iter().enumerate() {
         assert!(read_frame(&mut stream, &mut frame).unwrap(), "reply {r}");
         match decode_response(&frame).unwrap() {
-            Response::Values(v) => assert_eq!(v, solo[r], "reply {r} in request order"),
+            Response::Values(v) => assert_eq!(&v, expected, "reply {r} in request order"),
             other => panic!("unexpected reply to pipelined LogPsi: {other:?}"),
         }
     }

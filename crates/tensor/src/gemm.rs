@@ -812,7 +812,7 @@ mod tests {
         let b_nt = mat(112, 96, 8);
         let b_nn = mat(96, 112, 9);
         let a_tn = mat(96, 160, 10);
-        assert!(160 * 112 * 96 >= par::PAR_GEMM_MIN_FLOPS);
+        const { assert!(160 * 112 * 96 >= par::PAR_GEMM_MIN_FLOPS) };
 
         let seq_nt = par::with_threads(1, || gemm_nt(&a, &b_nt));
         let seq_nn = par::with_threads(1, || gemm_nn(&a, &b_nn));

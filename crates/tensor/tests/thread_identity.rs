@@ -12,6 +12,9 @@
 
 use vqmc_tensor::{gemm, ops, par, reduce, vector, Matrix, Vector};
 
+/// An in-place slice kernel.
+type SliceFn = fn(&mut [f64]);
+
 /// Deterministic ill-conditioned filler: mixed signs and magnitudes so
 /// any change of summation association flips low (often high) bits.
 fn filler(i: usize) -> f64 {
@@ -71,7 +74,7 @@ fn slice_ops_bit_identical_across_thread_counts() {
             xs
         }
     };
-    let fns: [(&str, fn(&mut [f64])); 3] = [
+    let fns: [(&str, SliceFn); 3] = [
         ("exp_slice", ops::exp_slice),
         ("sigmoid_slice", ops::sigmoid_slice),
         ("log_sigmoid_slice", ops::log_sigmoid_slice),

@@ -178,9 +178,17 @@ fn optimizer_choice(flags: &Flags) -> Result<OptimizerChoice, String> {
 }
 
 fn trainer_config(flags: &Flags) -> Result<TrainerConfig, String> {
+    let iterations = get_usize(flags, "iters", 300)?;
+    let batch_size = get_usize(flags, "batch", 512)?;
+    if iterations == 0 {
+        return Err("--iters must be at least 1".into());
+    }
+    if batch_size == 0 {
+        return Err("--batch must be at least 1".into());
+    }
     Ok(TrainerConfig {
-        iterations: get_usize(flags, "iters", 300)?,
-        batch_size: get_usize(flags, "batch", 512)?,
+        iterations,
+        batch_size,
         optimizer: optimizer_choice(flags)?,
         ..TrainerConfig::paper_default(get_u64(flags, "seed", 0)?)
     })
@@ -251,13 +259,14 @@ pub fn train(flags: &Flags) -> Result<(), String> {
     if flags.contains_key("rank") {
         return train_worker(flags);
     }
+    // Validated before any rank is spawned.
+    let config = trainer_config(flags)?;
     let ranks = get_usize(flags, "ranks", 1)?;
     if ranks > 1 {
         return train_launch(flags, ranks);
     }
     let (problem, n) = Problem::build(flags)?;
     let h = problem.hamiltonian();
-    let config = trainer_config(flags)?;
     let model = get(flags, "model", "made");
     let model_seed = get_u64(flags, "seed", 0)?.wrapping_add(1);
     let hidden = get_hidden_list(flags)?;
@@ -479,8 +488,8 @@ fn train_worker(flags: &Flags) -> Result<(), String> {
             config.batch_size
         );
     }
-    let mut t = ShardedTrainer::new(wf, IncrementalAutoSampler::new(), config);
-    let trace = t.run(h, &mut mesh).map_err(|e| format!("rank {rank}: {e}"))?;
+    let mut t = Trainer::new(wf, IncrementalAutoSampler::new(), config);
+    let trace = t.run_over(h, &mut mesh).map_err(|e| format!("rank {rank}: {e}"))?;
     mesh.shutdown();
 
     if rank == 0 {

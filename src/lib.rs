@@ -48,7 +48,7 @@
 //! | [`optim`] | SGD, Adam, stochastic reconfiguration + CG |
 //! | [`cluster`] | virtual multi-GPU cluster (threads + cost model) |
 //! | [`baselines`] | random cut, Goemans–Williamson, Burer–Monteiro |
-//! | [`core`] | the VQMC trainer, estimators, distributed trainer |
+//! | [`core`] | the VQMC trainer (one process or a rank mesh), estimators, data-parallel trainer |
 //! | [`serve`] | dynamic-batching TCP inference server + client |
 //! | [`dist`] | real-socket rank mesh: multi-process TCP collectives |
 
@@ -72,8 +72,7 @@ pub mod prelude {
     pub use crate::cluster::{Cluster, DeviceSpec, Topology};
     pub use crate::core::{
         hitting_time, Collective, CollectiveError, DistributedConfig, DistributedTrainer,
-        EnergyStats, HittingConfig, OptimizerChoice, ShardedTrainer, Trainer, TrainerConfig,
-        TrainingTrace,
+        EnergyStats, HittingConfig, OptimizerChoice, Trainer, TrainerConfig, TrainingTrace,
     };
     pub use crate::dist::{Mesh, MeshConfig};
     pub use crate::hamiltonian::{
